@@ -45,6 +45,7 @@ from .spaces import (
     weighted_norm,
 )
 from .verify import (
+    REPRESENTATION_THRESHOLD,
     default_suite,
     run_suite,
     verify_kernel_bounds,
@@ -540,17 +541,27 @@ def cmd_distance(cfg, out_dir, base):
         skip_decomposition=cfg["skip_decomposition"])
 
     rows = []
+    flags = []
     worst = EXIT_PASS
+    limit = REPRESENTATION_THRESHOLD[domain]
     for entry in report.entries:
         br = entry.bracket
         print(f"kernel_param={_cell(entry.kernel_param)} "
               f"bracket=[{_cell(br.lower)}, {_cell(br.upper)}] "
               f"resolved={br.resolved} s2~{_cell(entry.s2_estimate)}")
+        # f1 + f2 must reproduce f before the s1 witnesses mean anything
+        bad_repro = entry.repro_error > limit
+        if bad_repro:
+            flags.append(
+                f"INCONCLUSIVE: kernel_param={_cell(entry.kernel_param)} "
+                f"reconstruction error {_cell(entry.repro_error)} exceeds "
+                f"the representation threshold {limit:g}")
+            print("note: " + flags[-1], file=sys.stderr)
         if not entry.coherence_ok:
             worst = EXIT_FAIL
         classes = [pr.classification for pr in entry.profiles]
         if worst != EXIT_FAIL and (INCONCLUSIVE in classes
-                                   or not br.resolved):
+                                   or not br.resolved or bad_repro):
             worst = EXIT_INCONCLUSIVE
         for i, (eps, pr) in enumerate(zip(entry.eps_grid, entry.profiles)):
             rows.append((
@@ -575,9 +586,10 @@ def cmd_distance(cfg, out_dir, base):
               "bracket_lower", "bracket_upper", "bracket_resolved",
               "s2_estimate", "repro_error", "coherence_ok")
     _write(out_dir / f"{base}.csv", _csv_text(comments, header, rows))
+    doc = report.to_dict()
+    doc["notes"].extend(flags)
     _write(out_dir / f"{base}.json",
-           _report_json("distance", _config_for_json(cfg),
-                        {"report": report.to_dict()}))
+           _report_json("distance", _config_for_json(cfg), {"report": doc}))
 
     if cfg["plots"]:
         _write_profiles(report, out_dir, base)

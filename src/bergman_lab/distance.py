@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import DivergenceDetected, DomainError
-from .geometry import BallPoint, HalfPoint
+from .geometry import BallPoint, HalfPoint, tangent_frame
 from .kernels import q_beta_values, q_m_values
 from .profiles import (
     DIVERGENT,
@@ -49,7 +49,14 @@ from .profiles import (
     bisect_s2,
     classify_truncations,
 )
-from .quadrature import halfspace_rule, radial_rule, sphere_rule, zonal_rule
+from .quadrature import (
+    ball_grid,
+    halfspace_rule,
+    lateral_grid,
+    radial_rule,
+    sphere_rule,
+    zonal_rule,
+)
 from .spaces import HarmonicFn, ainf_norm, mixed_norm, BallQuad
 
 __all__ = [
@@ -98,16 +105,20 @@ def level_mask(f, spec, X, s=None):
     return np.abs(f(X, s)) * s**spec.lam >= spec.eps
 
 
+def _half_point(point):
+    """``(y, s)`` of a :class:`HalfPoint` or of a plain ``(y, s)`` pair."""
+    if isinstance(point, HalfPoint):
+        return point.y, point.s
+    y, s = point
+    return np.asarray(y, dtype=float), s
+
+
 def in_level_set(f, spec, point):
     """Single-point level set membership (the verbatim inequality)."""
     if f.domain == "ball":
         x = point.x if isinstance(point, BallPoint) else np.asarray(point, float)
         return bool(level_mask(f, spec, x[None, :])[0])
-    if isinstance(point, HalfPoint):
-        y, s = point.y, point.s
-    else:
-        y, s = point
-        y = np.asarray(y, dtype=float)
+    y, s = _half_point(point)
     return bool(level_mask(f, spec, y[None, :], np.array([float(s)]))[0])
 
 
@@ -132,18 +143,6 @@ def _cap_fraction(v0, n):
     return betainc(a, a, x)
 
 
-def _perp_unit(axis):
-    n = axis.size
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        e = e - np.dot(e, axis) * axis
-        nrm = np.linalg.norm(e)
-        if nrm > 1e-8:
-            return e / nrm
-    raise DomainError("could not build a perpendicular direction")
-
-
 def _axis_points(rho, t, axis, perp):
     """Points ``rho (t a + sqrt(1-t^2) b)`` in the (axis, perp) plane."""
     sin = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
@@ -159,7 +158,7 @@ def _cap_thresholds(f, eps, lam, rho, iters=60):
     -1.0 where it is the full sphere.
     """
     axis = f.axis
-    perp = _perp_unit(axis)
+    perp = tangent_frame(axis)[0]
     w = (1.0 - rho) ** lam
 
     def size_at(tt):
@@ -189,7 +188,72 @@ def _cap_thresholds(f, eps, lam, rho, iters=60):
 # s2 engines
 
 
-class _BallZonalEngine:
+def _check_inner(f, kernel, lam):
+    """Refuse kernels outside the representation hypothesis that the
+    inner integral and the decomposition rest on."""
+    if f.domain == "ball":
+        bound = max(lam - 1.0, 0.0)
+        if kernel.beta is None or kernel.beta <= bound:
+            raise DomainError(
+                f"representation needs beta > max(lam - 1, 0) = {bound}; "
+                f"got beta = {kernel.beta}")
+    elif kernel.m is None or kernel.m <= lam - 1.0:
+        raise DomainError(
+            f"representation needs m > lam - 1 = {lam - 1.0}; "
+            f"got m = {kernel.m}")
+
+
+class _S2Engine:
+    """Skeleton of the s2 evaluators: exponents, truncation levels and
+    a per-``eps`` cache of ``_truncated(eps)``, which a subclass supplies
+    with one value per level in ``j_levels``."""
+
+    def __init__(self, f, lam, kernel, p, alpha, j_levels, q_outer):
+        _check_inner(f, kernel, lam)
+        self.f, self.lam, self.kernel = f, float(lam), kernel
+        self.p, self.alpha = float(p), float(alpha)
+        self.q_outer = float(q_outer) if q_outer is not None else float(p)
+        self.j_levels = np.asarray(sorted(j_levels), dtype=int)
+        self._cache = {}
+
+    def truncated_values(self, eps):
+        key = float(eps)
+        if key not in self._cache:
+            self._cache[key] = self._truncated(eps)
+        return self._cache[key]
+
+    def profile(self, eps):
+        return classify_truncations(self.j_levels * math.log(2.0),
+                                    self.truncated_values(eps))
+
+    def classification(self, eps):
+        return self.profile(eps).classification
+
+
+class _BallEngine(_S2Engine):
+    """Ball skeleton: radial rules, outer radii ``R`` with volume weights
+    ``ow``, and the sums up to each truncation.  A subclass supplies
+    ``inner_matrix(eps)`` on (``R``, outer direction) and the direction
+    weights ``w_out``."""
+
+    def __init__(self, f, lam, kernel, p, alpha, j_levels, order, q_outer):
+        super().__init__(f, lam, kernel, p, alpha, j_levels, q_outer)
+        j_max = int(self.j_levels.max())
+        n = f.n
+        self.rr_in = radial_rule(order, j_max + 2)
+        self.rr_out = radial_rule(order, j_max)
+        keep = self.rr_out.truncation_index(1.0 - 2.0**-j_max)
+        self.R = self.rr_out.nodes[:keep]
+        self.ow = (self.rr_out.weights[:keep] * n * self.R ** (n - 1)
+                   * (1.0 - self.R) ** alpha)
+
+    def _truncated(self, eps):
+        shell = (self.inner_matrix(eps) ** self.p) @ self.w_out
+        contrib = self.ow * shell ** (self.q_outer / self.p)
+        return self.rr_out.level_sums(contrib, self.j_levels)
+
+
+class _BallZonalEngine(_BallEngine):
     """Reduced s2 evaluator for axisymmetric monotone ball functions.
 
     The inner sphere integral collapses to the polar cosine ``u``
@@ -204,27 +268,13 @@ class _BallZonalEngine:
             raise DomainError(
                 "the reduced engine needs an axisymmetric function that is "
                 "monotone in the cosine to its axis")
-        beta = kernel.beta
-        if beta is None or beta <= max(lam - 1.0, 0.0):
-            raise DomainError(
-                "inner integral needs kernel beta > max(lam - 1, 0)")
-        self.f, self.lam, self.kernel = f, float(lam), kernel
-        self.p, self.alpha = float(p), float(alpha)
-        self.q_outer = float(q_outer) if q_outer is not None else float(p)
-        self.j_levels = np.asarray(sorted(j_levels), dtype=int)
-        j_max = int(self.j_levels.max())
+        super().__init__(f, lam, kernel, p, alpha, j_levels, order, q_outer)
         n = f.n
-
-        rr_in = radial_rule(order, j_max + 2)
-        self.rho = rr_in.nodes
-        rr_out = radial_rule(order, j_max)
-        keep = rr_out.truncation_index(1.0 - 2.0**-j_max)
-        self.rr_out = rr_out
-        self.R = rr_out.nodes[:keep]
+        self.rho = self.rr_in.nodes
         zr_u = zonal_rule(n, order, u_refinement)
-        zr_c = zonal_rule(n, order, j_max + c_extra)
+        zr_c = zonal_rule(n, order, int(self.j_levels.max()) + c_extra)
         self.u, self.wu = zr_u.u_nodes, zr_u.weights
-        self.c, self.wc = zr_c.u_nodes, zr_c.weights
+        self.c, self.w_out = zr_c.u_nodes, zr_c.weights
 
         # kernel magnitude table |Q|(R_k rho_j, u_i), combined with the
         # inner weights; one batched series evaluation, reused for every
@@ -235,14 +285,11 @@ class _BallZonalEngine:
         vals, self.table_tail = q_beta_values(
             kernel, np.ascontiguousarray(q.ravel()),
             np.ascontiguousarray(t.ravel()), tol=tol)
-        w_in = (rr_in.weights * self.rho ** (n - 1)
-                * (1.0 - self.rho) ** (beta - lam))
+        w_in = (self.rr_in.weights * self.rho ** (n - 1)
+                * (1.0 - self.rho) ** (kernel.beta - lam))
         wt = np.abs(vals).reshape(q.shape) * (w_in[None, :, None]
                                               * self.wu[None, None, :])
         self._wt = wt.reshape(self.R.size, -1)
-        self.ow = (rr_out.weights[:keep] * n * self.R ** (n - 1)
-                   * (1.0 - self.R) ** alpha)
-        self._cache = {}
 
     def inner_matrix(self, eps):
         """Inner integral on the outer (radius, cosine) grid."""
@@ -256,26 +303,8 @@ class _BallZonalEngine:
         frac = _cap_fraction(v0, self.f.n)
         return self._wt @ frac.reshape(self.c.size, -1).T
 
-    def truncated_values(self, eps):
-        key = float(eps)
-        if key not in self._cache:
-            inner = self.inner_matrix(eps)
-            shell = (inner ** self.p) @ self.wc
-            contrib = self.ow * shell ** (self.q_outer / self.p)
-            cs = np.cumsum(contrib)
-            idx = np.minimum(self.rr_out.order * self.j_levels, cs.size)
-            self._cache[key] = cs[idx - 1]
-        return self._cache[key]
 
-    def profile(self, eps):
-        return classify_truncations(self.j_levels * math.log(2.0),
-                                    self.truncated_values(eps))
-
-    def classification(self, eps):
-        return self.profile(eps).classification
-
-
-class _BallGridEngine:
+class _BallGridEngine(_BallEngine):
     """Generic s2 evaluator with a pointwise level-set mask."""
 
     def __init__(self, f, lam, kernel, p, alpha, j_levels, order=6,
@@ -283,44 +312,23 @@ class _BallGridEngine:
                  chunk=8):
         if f.domain != "ball":
             raise DomainError("ball engine needs a ball function")
-        beta = kernel.beta
-        if beta is None or beta <= max(lam - 1.0, 0.0):
-            raise DomainError(
-                "inner integral needs kernel beta > max(lam - 1, 0)")
-        self.f, self.lam, self.kernel = f, float(lam), kernel
-        self.p, self.alpha = float(p), float(alpha)
-        self.q_outer = float(q_outer) if q_outer is not None else float(p)
-        self.j_levels = np.asarray(sorted(j_levels), dtype=int)
-        j_max = int(self.j_levels.max())
-        n = f.n
+        super().__init__(f, lam, kernel, p, alpha, j_levels, order, q_outer)
         self.tol = tol
         self.chunk = chunk
 
-        rr_in = radial_rule(order, j_max + 2)
-        sr_in = sphere_rule(n, inner_degree)
-        nd = sr_in.nodes.shape[0]
-        self.rho = np.repeat(rr_in.nodes, nd)
-        self.dirs_in = np.tile(sr_in.nodes, (rr_in.nodes.size, 1))
-        self.w0 = np.repeat(rr_in.weights * rr_in.nodes ** (n - 1), nd) * np.tile(
-            sr_in.weights, rr_in.nodes.size)
-        Y = self.rho[:, None] * self.dirs_in
-        self.wsize = np.abs(f(Y)) * (1.0 - self.rho) ** lam
-        self.w_beta = self.w0 * (1.0 - self.rho) ** (beta - lam)
+        sr_in = sphere_rule(f.n, inner_degree)
+        self.rho, dirs_in, w0 = ball_grid(sr_in, self.rr_in)
+        self.wsize = np.abs(f(self.rho[:, None] * dirs_in)) * (1.0 - self.rho) ** lam
+        self.w_beta = w0 * (1.0 - self.rho) ** (kernel.beta - lam)
 
-        rr_out = radial_rule(order, j_max)
-        keep = rr_out.truncation_index(1.0 - 2.0**-j_max)
-        self.rr_out = rr_out
-        self.R = rr_out.nodes[:keep]
-        self.sr_out = sphere_rule(n, outer_degree)
-        self.ow = (rr_out.weights[:keep] * n * self.R ** (n - 1)
-                   * (1.0 - self.R) ** alpha)
-        self._tmat = self.sr_out.nodes @ sr_in.nodes.T  # (dirs_out, dirs_in)
-        self._nd_in = nd
-        self._cache = {}
+        sr_out = sphere_rule(f.n, outer_degree)
+        self.w_out = sr_out.weights
+        self._tmat = sr_out.nodes @ sr_in.nodes.T  # (dirs_out, dirs_in)
+        self._nd_in = sr_in.nodes.shape[0]
 
     def inner_matrix(self, eps):
         mask = self.wsize >= eps
-        nd_out = self.sr_out.nodes.shape[0]
+        nd_out = self._tmat.shape[0]
         inner = np.zeros((self.R.size, nd_out))
         if not np.any(mask):
             return inner
@@ -339,26 +347,8 @@ class _BallGridEngine:
             inner[k0:k1] = np.abs(vals).reshape(q.shape) @ w_m
         return inner
 
-    def truncated_values(self, eps):
-        key = float(eps)
-        if key not in self._cache:
-            inner = self.inner_matrix(eps)
-            shell = (inner ** self.p) @ self.sr_out.weights
-            contrib = self.ow * shell ** (self.q_outer / self.p)
-            cs = np.cumsum(contrib)
-            idx = np.minimum(self.rr_out.order * self.j_levels, cs.size)
-            self._cache[key] = cs[idx - 1]
-        return self._cache[key]
 
-    def profile(self, eps):
-        return classify_truncations(self.j_levels * math.log(2.0),
-                                    self.truncated_values(eps))
-
-    def classification(self, eps):
-        return self.profile(eps).classification
-
-
-class _HalfGridEngine:
+class _HalfGridEngine(_S2Engine):
     """s2 evaluator on the half-space with expanding windows.
 
     One master tensor grid serves as both inner and outer domain;
@@ -373,31 +363,18 @@ class _HalfGridEngine:
                  lateral_refinement=None, tol=1e-9, q_outer=None, chunk=256):
         if f.domain != "halfspace":
             raise DomainError("half-space engine needs a half-space function")
-        m = kernel.m
-        if m is None or m <= lam - 1.0:
-            raise DomainError("inner integral needs kernel m > lam - 1")
-        self.f, self.lam, self.kernel = f, float(lam), kernel
-        self.p, self.alpha = float(p), float(alpha)
-        self.q_outer = float(q_outer) if q_outer is not None else float(p)
-        self.j_levels = np.asarray(sorted(j_levels), dtype=int)
+        super().__init__(f, lam, kernel, p, alpha, j_levels, q_outer)
         L = int(self.j_levels.max()) + 1
-        n = f.n
         self.chunk = chunk
         if lateral_refinement is None:
             lateral_refinement = L + 2
-        rule = halfspace_rule(n, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
+        rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
                               order=order, lateral_refinement=lateral_refinement)
-        mesh, w_lat = rule.lateral_mesh()
-        m_lat = mesh.shape[0]
-        self.mesh, self.w_lat = mesh, w_lat
+        self.mesh, self.w_lat = rule.lateral_mesh()
         self.s_nodes, self.s_weights = rule.s_nodes, rule.s_weights
-        self.Y = np.tile(mesh, (rule.s_nodes.size, 1))
-        self.s = np.repeat(rule.s_nodes, m_lat)
-        self.w = np.repeat(rule.s_weights, m_lat) * np.tile(
-            w_lat, rule.s_nodes.size)
+        self.Y, self.s, self.w = rule.flat()
         self.wsize = np.abs(f(self.Y, self.s)) * self.s**lam
-        self.w_m = self.w * self.s ** (m - lam)
-        self._cache = {}
+        self.w_m = self.w * self.s ** (kernel.m - lam)
 
     def inner_values(self, eps):
         mask = self.wsize >= eps
@@ -414,35 +391,24 @@ class _HalfGridEngine:
             inner[k0:k1] = np.abs(vals) @ wm
         return inner
 
-    def truncated_values(self, eps):
+    def _truncated(self, eps):
         """Window values with the mixed outer structure.
 
         Lateral integral first, then the height integral of its
         ``q/p`` power against ``s^alpha``; at ``q = p`` this is the
         plain double integral on the identical grid.
         """
-        key = float(eps)
-        if key not in self._cache:
-            m_lat = self.mesh.shape[0]
-            inner = self.inner_values(eps).reshape(self.s_nodes.size, m_lat)
-            vals = []
-            for j in self.j_levels:
-                side = 2.0**j
-                lat_ok = np.all(np.abs(self.mesh) <= side, axis=1)
-                s_ok = (self.s_nodes >= 2.0**-j) & (self.s_nodes <= side)
-                slab = (inner[s_ok] ** self.p) @ (self.w_lat * lat_ok)
-                contrib = (self.s_weights[s_ok] * self.s_nodes[s_ok] ** self.alpha
-                           * slab ** (self.q_outer / self.p))
-                vals.append(float(contrib.sum()))
-            self._cache[key] = np.array(vals)
-        return self._cache[key]
-
-    def profile(self, eps):
-        return classify_truncations(self.j_levels * math.log(2.0),
-                                    self.truncated_values(eps))
-
-    def classification(self, eps):
-        return self.profile(eps).classification
+        inner = self.inner_values(eps).reshape(self.s_nodes.size, -1)
+        vals = []
+        for j in self.j_levels:
+            side = 2.0**j
+            lat_ok = np.all(np.abs(self.mesh) <= side, axis=1)
+            s_ok = (self.s_nodes >= 2.0**-j) & (self.s_nodes <= side)
+            slab = (inner[s_ok] ** self.p) @ (self.w_lat * lat_ok)
+            contrib = (self.s_weights[s_ok] * self.s_nodes[s_ok] ** self.alpha
+                       * slab ** (self.q_outer / self.p))
+            vals.append(float(contrib.sum()))
+        return np.array(vals)
 
 
 def _default_levels(domain):
@@ -476,48 +442,27 @@ def s2_inner(f, spec, kernel, point, order=8, degree=21, tol=1e-10):
     drho dsigma'``; half-space: ``int_{V} |Q_m(z, w)| s^{m - lam} dw``.
     The mask is evaluated pointwise on the quadrature grid.
     """
+    _check_inner(f, kernel, spec.lam)
     if f.domain == "ball":
         x = point.x if isinstance(point, BallPoint) else np.asarray(point, float)
-        n = f.n
-        beta = kernel.beta
-        if beta is None or beta <= max(spec.lam - 1.0, 0.0):
-            raise DomainError(
-                "inner integral needs kernel beta > max(lam - 1, 0)")
-        rr = radial_rule(order, 12)
-        sr = sphere_rule(n, degree)
-        nd = sr.nodes.shape[0]
-        rho = np.repeat(rr.nodes, nd)
-        dirs = np.tile(sr.nodes, (rr.nodes.size, 1))
-        Y = rho[:, None] * dirs
-        mask = level_mask(f, spec, Y)
+        rho, dirs, w = ball_grid(sphere_rule(f.n, degree), radial_rule(order, 12))
+        mask = level_mask(f, spec, rho[:, None] * dirs)
         if not np.any(mask):
             return 0.0
-        w = (np.repeat(rr.weights * rr.nodes ** (n - 1), nd)
-             * np.tile(sr.weights, rr.nodes.size)
-             * (1.0 - rho) ** (beta - spec.lam))[mask]
+        w = (w * (1.0 - rho) ** (kernel.beta - spec.lam))[mask]
         r = float(np.linalg.norm(x))
-        xd = x / r if r > 0 else np.eye(n)[0]
+        xd = x / r if r > 0 else np.eye(f.n)[0]
         q = np.ascontiguousarray(r * rho[mask])
         t = np.ascontiguousarray(dirs[mask] @ xd)
         vals, _ = q_beta_values(kernel, q, t, tol=tol)
         return float(np.abs(vals) @ w)
 
-    if isinstance(point, HalfPoint):
-        zy, zs = point.y, point.s
-    else:
-        zy, zs = point
-        zy = np.asarray(zy, dtype=float)
+    zy, zs = _half_point(point)
     m = kernel.m
-    if m is None or m <= spec.lam - 1.0:
-        raise DomainError("inner integral needs kernel m > lam - 1")
     L = 8
     rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
                           order=order, lateral_refinement=L + 2)
-    mesh, w_lat = rule.lateral_mesh()
-    Y = np.tile(mesh, (rule.s_nodes.size, 1))
-    s = np.repeat(rule.s_nodes, mesh.shape[0])
-    w = (np.repeat(rule.s_weights, mesh.shape[0])
-         * np.tile(w_lat, rule.s_nodes.size))
+    Y, s, w = rule.flat()
     mask = level_mask(f, spec, Y, s)
     if not np.any(mask):
         return 0.0
@@ -557,11 +502,7 @@ def s2_inner_mc(f, spec, kernel, point, n_samples=10**6, seed=0,
         err = vals.std(ddof=1) / math.sqrt(n_samples) / n
         return float(est), float(err)
 
-    if isinstance(point, HalfPoint):
-        zy, zs = point.y, point.s
-    else:
-        zy, zs = point
-        zy = np.asarray(zy, dtype=float)
+    zy, zs = _half_point(point)
     Y = rng.uniform(-box_radius, box_radius, size=(n_samples, n))
     s = rng.uniform(0.0, box_height, size=n_samples)
     s = np.maximum(s, 1e-300)
@@ -592,17 +533,6 @@ def s2_profile(f, spec, kernel, p, alpha, j_levels=None, method="auto",
 
 # ---------------------------------------------------------------------------
 # Constructive decomposition
-
-
-def _ball_decomp_grid(f, quad):
-    n = f.n
-    rr, sr = quad.rrule, quad.srule
-    nd = sr.nodes.shape[0]
-    rho = np.repeat(rr.nodes, nd)
-    dirs = np.tile(sr.nodes, (rr.nodes.size, 1))
-    w = np.repeat(rr.weights * rr.nodes ** (n - 1), nd) * np.tile(
-        sr.weights, rr.nodes.size)
-    return rho, dirs, w
 
 
 def _kernel_part_ball(f, kernel, rho, dirs, w_signed, tol, chunk=512):
@@ -649,22 +579,18 @@ def decompose(f, spec, kernel, quad=None, tol=1e-11):
     the representation hypothesis ``beta > max(lam - 1, 0)`` (ball) or
     ``m > lam - 1`` (half-space); refuses otherwise.
     """
+    if kernel.domain != f.domain or kernel.n != f.n:
+        raise DomainError("kernel spec does not match the function")
+    _check_inner(f, kernel, spec.lam)
     if f.domain == "ball":
-        beta = kernel.beta
-        if beta is None or kernel.domain != "ball" or kernel.n != f.n:
-            raise DomainError("kernel spec does not match the function")
-        if beta <= max(spec.lam - 1.0, 0.0):
-            raise DomainError(
-                f"representation needs beta > max(lam - 1, 0) = "
-                f"{max(spec.lam - 1.0, 0.0)}; got beta = {beta}")
         if quad is None:
             from .spaces import default_ball_quad
 
             quad = default_ball_quad(f.n, degree=21, order=8, refinement=11)
-        rho, dirs, w = _ball_decomp_grid(f, quad)
+        rho, dirs, w = ball_grid(quad.srule, quad.rrule)
         Y = rho[:, None] * dirs
         fv = f(Y)
-        w_signed = w * (1.0 - rho * rho) ** beta * fv
+        w_signed = w * (1.0 - rho * rho) ** kernel.beta * fv
         mask = np.abs(fv) * (1.0 - rho) ** spec.lam >= spec.eps
         f1 = HarmonicFn(f.label + "_f1", "ball", f.n,
                         _kernel_part_ball(f, kernel, rho[~mask], dirs[~mask],
@@ -677,19 +603,10 @@ def decompose(f, spec, kernel, quad=None, tol=1e-11):
         return f1, f2
 
     m = kernel.m
-    if m is None or kernel.domain != "halfspace" or kernel.n != f.n:
-        raise DomainError("kernel spec does not match the function")
-    if m <= spec.lam - 1.0:
-        raise DomainError(
-            f"representation needs m > lam - 1 = {spec.lam - 1.0}; got m = {m}")
     L = 8
     rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
                           order=8, lateral_refinement=L + 2)
-    mesh, w_lat = rule.lateral_mesh()
-    Yq = np.tile(mesh, (rule.s_nodes.size, 1))
-    sq = np.repeat(rule.s_nodes, mesh.shape[0])
-    w = (np.repeat(rule.s_weights, mesh.shape[0])
-         * np.tile(w_lat, rule.s_nodes.size))
+    Yq, sq, w = rule.flat()
     fv = f(Yq, sq)
     w_signed = w * sq**m * fv
     mask = np.abs(fv) * sq**spec.lam >= spec.eps
@@ -705,31 +622,33 @@ def decompose(f, spec, kernel, quad=None, tol=1e-11):
     return f1, f2
 
 
+def _probe_points(f, shells, samples, degree=None):
+    """Ball: shells at the radii ``shells``, at the cosines ``samples`` in
+    a plane through the axis of an axisymmetric ``f``, else on a sphere
+    rule of ``degree``.  Half-space: the lateral grid ``samples^n`` at
+    each height in ``shells``, height-major."""
+    if f.domain == "ball":
+        if f.axis is not None:
+            perp = tangent_frame(f.axis)[0]
+            return np.vstack([_axis_points(np.full(samples.size, rr), samples,
+                                           f.axis, perp) for rr in shells])
+        sr = sphere_rule(f.n, degree)
+        return (shells[:, None, None] * sr.nodes[None, :, :]).reshape(-1, f.n)
+    Y = lateral_grid(samples, f.n)
+    return np.tile(Y, (shells.size, 1)), np.repeat(shells, Y.shape[0])
+
+
 def _sup_points(f, levels=10, coarse=9):
     """Weighted-sup evaluation grid, reduced to a plane for axisymmetric f."""
-    n = f.n
     if f.domain == "ball":
         r = np.concatenate([[0.0, 0.2, 0.4, 0.6],
                             1.0 - 2.0 ** -np.arange(1, levels + 1.0)])
-        if f.axis is not None:
-            u = np.concatenate([np.linspace(-1.0, 0.9, coarse),
-                                1.0 - np.geomspace(1e-6, 0.1, 12)[::-1], [1.0]])
-            perp = _perp_unit(f.axis)
-            pts = [_axis_points(np.full(u.size, rr), u, f.axis, perp)
-                   for rr in r]
-            return np.vstack(pts)
-        sr = sphere_rule(n, 15)
-        return (r[:, None, None] * sr.nodes[None, :, :]).reshape(-1, n)
+        u = np.concatenate([np.linspace(-1.0, 0.9, coarse),
+                            1.0 - np.geomspace(1e-6, 0.1, 12)[::-1], [1.0]])
+        return _probe_points(f, r, u, degree=15)
     y = np.concatenate([-np.geomspace(8.0, 2.0**-4, 12), [0.0],
                         np.geomspace(2.0**-4, 8.0, 12)])
-    if n == 1:
-        Y = y[:, None]
-    else:
-        Y = np.stack(np.meshgrid(*([y] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    s = 2.0 ** -np.arange(-4.0, levels + 1.0)
-    Yf = np.tile(Y, (s.size, 1))
-    sf = np.repeat(s, Y.shape[0])
-    return Yf, sf
+    return _probe_points(f, 2.0 ** -np.arange(-4.0, levels + 1.0), y)
 
 
 def _weighted_sup_on(f, g, lam, pts):
@@ -997,24 +916,10 @@ def equivalence_experiment(f, p, alpha, kernel_sweep, q=None, eps_grid=None,
 
 def _repro_defect(f, f1, f2):
     """Sup of ``|f - (f1 + f2)|`` on a small interior grid."""
-    n = f.n
     if f.domain == "ball":
-        r = np.array([0.0, 0.2, 0.4, 0.6, 0.7])
-        if f.axis is not None:
-            u = np.linspace(-1.0, 1.0, 9)
-            perp = _perp_unit(f.axis)
-            X = np.vstack([_axis_points(np.full(u.size, rr), u, f.axis, perp)
-                           for rr in r])
-        else:
-            sr = sphere_rule(n, 7)
-            X = (r[:, None, None] * sr.nodes[None, :, :]).reshape(-1, n)
+        X = _probe_points(f, np.array([0.0, 0.2, 0.4, 0.6, 0.7]),
+                          np.linspace(-1.0, 1.0, 9), degree=7)
         return float(np.max(np.abs(f(X) - f1(X) - f2(X))))
-    y = np.linspace(-2.0, 2.0, 7)
-    if n == 1:
-        Y = y[:, None]
-    else:
-        Y = np.stack(np.meshgrid(*([y] * n), indexing="ij"), axis=-1).reshape(-1, n)
-    s = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-    Yf = np.tile(Y, (s.size, 1))
-    sf = np.repeat(s, Y.shape[0])
-    return float(np.max(np.abs(f(Yf, sf) - f1(Yf, sf) - f2(Yf, sf))))
+    Y, s = _probe_points(f, np.array([0.25, 0.5, 1.0, 2.0, 4.0]),
+                         np.linspace(-2.0, 2.0, 7))
+    return float(np.max(np.abs(f(Y, s) - f1(Y, s) - f2(Y, s))))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["BallPoint", "HalfPoint"]
+__all__ = ["BallPoint", "HalfPoint", "tangent_frame"]
 
 _UNIT_TOL = 1e-12
 
@@ -88,3 +88,24 @@ class HalfPoint:
     @property
     def n(self) -> int:
         return self.y.size
+
+
+def tangent_frame(direction):
+    """``n - 1`` unit tangent vectors at a unit ``direction``.
+
+    They are the coordinate axes with their ``direction`` component
+    removed, normalized, skipping axes nearly parallel to it; they are
+    not mutually orthogonal.
+    """
+    n = direction.size
+    frame = []
+    for i in range(n):
+        v = np.zeros(n)
+        v[i] = 1.0
+        v = v - np.dot(v, direction) * direction
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-8:
+            frame.append(v / nrm)
+        if len(frame) == n - 1:
+            break
+    return frame

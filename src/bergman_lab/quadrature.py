@@ -40,6 +40,9 @@ __all__ = [
     "halfspace_rule",
     "composite_gauss",
     "geometric_edges",
+    "sphere_area",
+    "ball_grid",
+    "lateral_grid",
     "integrate_sphere",
     "integrate_ball",
     "ball_shell_means",
@@ -197,6 +200,11 @@ def zonal_rule(n, order=12, refinement=24):
     return ZonalRule(n, u, w)
 
 
+def sphere_area(n):
+    """Surface area of the unit sphere ``S^{n-1}`` (2 points when n = 1)."""
+    return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) if n >= 2 else 2.0
+
+
 def integrate_sphere(g, rule):
     """Normalized sphere average ``sum_i w_i g(node_i)``.
 
@@ -246,11 +254,29 @@ class RadialRule:
         k = int(np.searchsorted(self.edges, r_cut + 1e-15) - 1)
         return max(0, k) * self.order
 
+    def level_sums(self, contrib, levels):
+        """Running sums of the per-node ``contrib`` up to ``r = 1 - 2^-j``
+        for each level ``j``; ``j = inf`` sums every node."""
+        cs = np.cumsum(contrib)
+        return np.array([cs[self.truncation_index(1.0 - 2.0 ** -j) - 1]
+                         for j in levels])
+
 
 def radial_rule(order=12, boundary_refinement=10):
     edges = geometric_edges(0.0, 1.0, boundary_refinement, toward="b")
     nodes, weights = composite_gauss(edges, order)
     return RadialRule(int(order), int(boundary_refinement), edges, nodes, weights)
+
+
+def ball_grid(srule, rrule):
+    """The radius x direction product as flat ``(rho, dirs, w)``,
+    radius-major, with weights of ``rho^{n-1} drho dsigma'``."""
+    nd = srule.nodes.shape[0]
+    rho = np.repeat(rrule.nodes, nd)
+    dirs = np.tile(srule.nodes, (rrule.nodes.size, 1))
+    w = np.repeat(rrule.weights * rrule.nodes ** (srule.n - 1), nd) * np.tile(
+        srule.weights, rrule.nodes.size)
+    return rho, dirs, w
 
 
 def ball_shell_means(g, srule, rrule):
@@ -346,14 +372,26 @@ class HalfSpaceRule:
 
     def lateral_mesh(self):
         """Full lateral product mesh ``(M, n)`` and its weights."""
-        if self.n == 1:
-            return self.y_nodes[:, None], self.y_weights
-        grids = np.meshgrid(*([self.y_nodes] * self.n), indexing="ij")
-        mesh = np.column_stack([g.ravel() for g in grids])
+        mesh = lateral_grid(self.y_nodes, self.n)
         w = self.y_weights
         for _ in range(self.n - 1):
             w = np.multiply.outer(w, self.y_weights)
         return mesh, w.ravel()
+
+    def flat(self):
+        """The rule as flat ``(Y, s, w)``, height-major: node ``k`` is
+        lateral node ``k % M`` at height ``k // M``."""
+        mesh, w_lat = self.lateral_mesh()
+        m_s = self.s_nodes.size
+        Y = np.tile(mesh, (m_s, 1))
+        s = np.repeat(self.s_nodes, mesh.shape[0])
+        w = np.repeat(self.s_weights, mesh.shape[0]) * np.tile(w_lat, m_s)
+        return Y, s, w
+
+
+def lateral_grid(y, n):
+    """Product grid ``y^n`` as an ``(len(y)^n, n)`` array, axis 0 slowest."""
+    return np.stack(np.meshgrid(*([y] * n), indexing="ij"), axis=-1).reshape(-1, n)
 
 
 def halfspace_rule(n, R_xy=16.0, s_min=2.0**-12, s_max=16.0, order=12,
@@ -389,10 +427,7 @@ def _tail_outer(rule, samples_max, decay):
     d = decay.power_infinity
     a_top, a_lat = samples_max
     top = a_top * (2.0 * R) ** n * rule.s_max / (d - 1.0)
-    if n == 1:
-        lat = a_lat * (rule.s_max - rule.s_min) * 2.0 * R / (d - 1.0)
-    else:
-        lat = a_lat * (rule.s_max - rule.s_min) * 2.0 * np.pi * R * R / (d - 2.0)
+    lat = a_lat * (rule.s_max - rule.s_min) * sphere_area(n) * R**n / (d - n)
     # factor 2 absorbs the corner region not covered by either face bound
     return 2.0 * (top + lat)
 
@@ -411,18 +446,15 @@ def integrate_halfspace(g, rule, decay):
         )
     if decay.power_zero <= -1.0:
         raise DomainError("declared bottom exponent must exceed -1")
-    mesh, w_lat = rule.lateral_mesh()
-    m_lat = mesh.shape[0]
-    m_s = rule.s_nodes.size
-    Y = np.tile(mesh, (m_s, 1))
-    S = np.repeat(rule.s_nodes, m_lat)
+    _, w_lat = rule.lateral_mesh()
+    Y, S, _ = rule.flat()
     vals = np.asarray(g(Y, S), dtype=float)
     if vals.shape != (Y.shape[0],):
         raise EvaluationError(
             f"integrand returned shape {vals.shape}, expected {(Y.shape[0],)}"
         )
     _check_finite(vals, np.column_stack([Y, S]))
-    vals = vals.reshape(m_s, m_lat)
+    vals = vals.reshape(rule.s_nodes.size, w_lat.size)
     value = float(rule.s_weights @ (vals @ w_lat))
 
     # boundary samples for the tail estimate
@@ -437,6 +469,18 @@ def integrate_halfspace(g, rule, decay):
     return HalfSpaceValue(value, outer + bottom)
 
 
+def _face_lines(rule):
+    """Lateral face samples: one coordinate at ``+-R_xy``, the others
+    running through ``y_nodes`` together."""
+    lines = []
+    for sign in (-1.0, 1.0):
+        for axis in range(rule.n):
+            Y = np.repeat(rule.y_nodes[:, None], rule.n, axis=1)
+            Y[:, axis] = sign * rule.R_xy
+            lines.append(Y)
+    return lines
+
+
 def _face_max(g, rule, face):
     n = rule.n
     if face in ("top", "bottom"):
@@ -444,22 +488,13 @@ def _face_max(g, rule, face):
         s_val = rule.s_max if face == "top" else rule.s_min
         s = np.full(mesh.shape[0], s_val)
         return float(np.abs(np.asarray(g(mesh, s), dtype=float)).max())
-    # lateral faces: fix one coordinate at +-R_xy, sample the rest
-    pts = []
-    for sign in (-1.0, 1.0):
-        if n == 1:
-            Y = np.full((rule.s_nodes.size, 1), sign * rule.R_xy)
-            pts.append((Y, rule.s_nodes.copy()))
-        else:
-            for axis in range(n):
-                other = rule.y_nodes
-                for s_val in (rule.s_min, np.median(rule.s_nodes), rule.s_max):
-                    Y = np.empty((other.size, n))
-                    Y[:, axis] = sign * rule.R_xy
-                    for j in range(n):
-                        if j != axis:
-                            Y[:, j] = other
-                    pts.append((Y, np.full(other.size, float(s_val))))
+    if n == 1:
+        pts = [(np.full((rule.s_nodes.size, 1), sign * rule.R_xy),
+                rule.s_nodes.copy()) for sign in (-1.0, 1.0)]
+    else:
+        pts = [(Y, np.full(Y.shape[0], float(s_val)))
+               for Y in _face_lines(rule)
+               for s_val in (rule.s_min, np.median(rule.s_nodes), rule.s_max)]
     best = 0.0
     for Y, s in pts:
         best = max(best, float(np.abs(np.asarray(g(Y, s), dtype=float)).max()))
@@ -480,17 +515,8 @@ def integrate_lateral(g, rule, s, decay_power):
     _check_finite(vals, mesh)
     value = float(vals @ w_lat)
     edge = 0.0
-    for sign in (-1.0, 1.0):
-        for axis in range(rule.n):
-            Y = np.empty((rule.y_nodes.size, rule.n))
-            Y[:, axis] = sign * rule.R_xy
-            for j in range(rule.n):
-                if j != axis:
-                    Y[:, j] = rule.y_nodes
-            edge = max(edge, float(np.abs(np.asarray(g(Y), dtype=float)).max()))
+    for Y in _face_lines(rule):
+        edge = max(edge, float(np.abs(np.asarray(g(Y), dtype=float)).max()))
     n, R, d = rule.n, rule.R_xy, decay_power
-    if n == 1:
-        tail = edge * 2.0 * R / (d - 1.0)
-    else:
-        tail = edge * 2.0 * np.pi * R * R / (d - 2.0)
+    tail = edge * sphere_area(n) * R**n / (d - n)
     return HalfSpaceValue(value, 2.0 * tail)

@@ -29,7 +29,7 @@ from .errors import (
     DomainError,
     UnboundedNormError,
 )
-from .geometry import BallPoint, HalfPoint
+from .geometry import BallPoint, HalfPoint, tangent_frame
 from .kernels import (
     ball_kernel,
     poisson_ball_rt,
@@ -45,7 +45,9 @@ from .quadrature import (
     TailDecay,
     composite_gauss,
     halfspace_rule,
+    integrate_halfspace,
     integrate_sphere,
+    lateral_grid,
     radial_profile,
     radial_rule,
     sphere_rule,
@@ -225,18 +227,16 @@ def mp_norm(f, p, r, srule):
 
 
 def _ball_partials(f, p, alpha, quad):
-    """Weighted partial integrals of |f|^p on dyadic radial truncations."""
+    """Weighted partial integrals of |f|^p on dyadic radial truncations,
+    plus the full integral."""
     n = quad.srule.n
     rr = quad.rrule
     r = rr.nodes
     means = radial_profile(f, p, r, quad.srule) ** p
-    contrib = quad.rrule.weights * (n * r ** (n - 1) * (1.0 - r * r) ** alpha * means)
-    csum = np.cumsum(contrib)
+    contrib = rr.weights * (n * r ** (n - 1) * (1.0 - r * r) ** alpha * means)
     levels = np.arange(1, rr.boundary_refinement + 1)
-    cuts = levels * math.log(2.0)
-    partial = np.array([csum[rr.truncation_index(1.0 - 2.0 ** -j) - 1]
-                        for j in levels])
-    return cuts, partial, float(csum[-1])
+    sums = rr.level_sums(contrib, [*levels, math.inf])
+    return levels * math.log(2.0), sums[:-1], float(sums[-1])
 
 
 def ball_norm_profile(f, p, alpha, quad=None, n=None):
@@ -290,8 +290,6 @@ def _halfspace_norm(f, p, alpha, quad):
         raise DivergenceDetected(
             f"norm integral of {f.label} diverges (p={p}, alpha={alpha})",
             prof)
-    from .quadrature import integrate_halfspace
-
     decay = _halfspace_decay(f, p, alpha, n)
     res = integrate_halfspace(
         lambda Y, s: np.abs(f(Y, s)) ** p * s**alpha, quad, decay)
@@ -311,12 +309,10 @@ def halfspace_norm_profile(f, p, alpha, n=None, j_levels=(2, 3, 4, 5, 6, 7, 8)):
     for j in j_levels:
         rule = halfspace_rule(n, R_xy=2.0**j, s_min=2.0**-j, s_max=2.0**j,
                               order=8, lateral_refinement=max(4, j))
-        mesh, w_lat = rule.lateral_mesh()
-        m_lat = mesh.shape[0]
-        Y = np.tile(mesh, (rule.s_nodes.size, 1))
-        S = np.repeat(rule.s_nodes, m_lat)
+        _, w_lat = rule.lateral_mesh()
+        Y, S, _ = rule.flat()
         g = np.abs(f(Y, S)) ** p * S**alpha
-        g = g.reshape(rule.s_nodes.size, m_lat)
+        g = g.reshape(rule.s_nodes.size, w_lat.size)
         vals.append(float(rule.s_weights @ (g @ w_lat)))
     cuts = np.array(j_levels, dtype=float) * math.log(2.0)
     return classify_truncations(cuts, np.array(vals))
@@ -341,15 +337,13 @@ def weighted_norm(f, p, v, quad=None):
     if np.any(~np.isfinite(w)) or np.any(w < 0):
         raise DomainError("weight v must be finite and nonnegative on (0,1)")
     contrib = quad.rrule.weights * (n * r ** (n - 1) * w * means)
-    cs = np.cumsum(contrib)
     levels = np.arange(1, quad.rrule.boundary_refinement + 1)
-    partial = np.array([cs[quad.rrule.truncation_index(1.0 - 2.0 ** -j) - 1]
-                        for j in levels])
-    prof = classify_truncations(levels * math.log(2.0), partial)
+    sums = quad.rrule.level_sums(contrib, [*levels, math.inf])
+    prof = classify_truncations(levels * math.log(2.0), sums[:-1])
     if prof.is_divergent():
         raise DivergenceDetected(
             f"weighted norm of {f.label} diverges", prof)
-    return float(cs[-1]) ** (1.0 / p)
+    return float(sums[-1]) ** (1.0 / p)
 
 
 def mixed_norm(f, p, q, alpha, kind, quad=None):
@@ -388,11 +382,8 @@ def mixed_norm(f, p, q, alpha, kind, quad=None):
 
 
 def _mixed_guard(radial_w, shell_vals, f, p, q, alpha, quad):
-    cs = np.cumsum(radial_w * shell_vals)
-    rr = quad.rrule
-    levels = np.arange(1, rr.boundary_refinement + 1)
-    partial = np.array([cs[rr.truncation_index(1.0 - 2.0 ** -j) - 1]
-                        for j in levels])
+    levels = np.arange(1, quad.rrule.boundary_refinement + 1)
+    partial = quad.rrule.level_sums(radial_w * shell_vals, levels)
     prof = classify_truncations(levels * math.log(2.0), partial)
     if prof.is_divergent():
         raise DivergenceDetected(
@@ -416,21 +407,6 @@ def _weight_ball(r, t, convention):
     if convention == "1-r^2":
         return (1.0 - r * r) ** t
     raise DomainError("convention must be '1-r' or '1-r^2'")
-
-
-def _tangent_frame(direction):
-    n = direction.size
-    frame = []
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
-        v = v - np.dot(v, direction) * direction
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            frame.append(v / nrm)
-        if len(frame) == n - 1:
-            break
-    return frame
 
 
 def ainf_norm(f, t, convention="1-r", levels=12, degree=23, refine_rounds=3,
@@ -464,7 +440,7 @@ def ainf_norm(f, t, convention="1-r", levels=12, degree=23, refine_rounds=3,
     _check_bounded(shell_max[-4:], growth_ratio)
 
     value, r_best, d_best = best
-    frame = _tangent_frame(d_best)
+    frame = tangent_frame(d_best)
     dr = 0.5 * (1.0 - r_best)
     ang = math.pi / (degree + 1)
     for _ in range(refine_rounds):
@@ -480,23 +456,15 @@ def ainf_norm(f, t, convention="1-r", levels=12, degree=23, refine_rounds=3,
                             * _weight_ball(r, t, convention))
                 if val > value:
                     value, r_best, d_best = val, float(r), d
-        frame = _tangent_frame(d_best)
+        frame = tangent_frame(d_best)
         dr *= 0.5
         ang *= 0.5
     return value, BallPoint(r_best, d_best)
 
 
 def _ainf_ball_axis(f, t, convention, levels, refine_rounds, growth_ratio):
-    n = f.n
     axis = f.axis
-    perp = None
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        e = e - np.dot(e, axis) * axis
-        if np.linalg.norm(e) > 1e-8:
-            perp = e / np.linalg.norm(e)
-            break
+    perp = tangent_frame(axis)[0]
     u = np.concatenate([np.linspace(-1.0, 0.95, 24),
                         1.0 - np.geomspace(1e-8, 0.05, 16)[::-1], [1.0]])
     r_grid = np.concatenate([[0.0, 0.25],
@@ -551,10 +519,7 @@ def _ainf_half(f, t, levels, refine_rounds, growth_ratio):
     n = f.n
     y = np.concatenate([-np.geomspace(8.0, 2.0**-6, 24), [0.0],
                         np.geomspace(2.0**-6, 8.0, 24)])
-    if n == 1:
-        Y = y[:, None]
-    else:
-        Y = np.stack(np.meshgrid(*([y] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    Y = lateral_grid(y, n)
     s_grid = 2.0 ** -np.arange(-3.0, levels + 1.0)
     shell_max = np.empty(s_grid.size)
     best = (-math.inf, None, 0.0)

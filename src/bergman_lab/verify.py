@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DivergenceDetected, DomainError
 from .kernels import (
@@ -35,6 +34,7 @@ from .quadrature import (
     geometric_edges,
     halfspace_rule,
     radial_rule,
+    sphere_area,
     zonal_rule,
 )
 from .spaces import (
@@ -50,6 +50,7 @@ from .spaces import (
 __all__ = [
     "LemmaReport",
     "DRIFT_THRESHOLD",
+    "REPRESENTATION_THRESHOLD",
     "verify_rro",
     "verify_qbeta",
     "verify_qm",
@@ -62,6 +63,9 @@ __all__ = [
 
 #: relative change of max_ratio allowed under one grid refinement
 DRIFT_THRESHOLD = 0.10
+
+#: largest reproduction error a representation check passes, per domain
+REPRESENTATION_THRESHOLD = {"ball": 1e-4, "halfspace": 1e-3}
 
 
 @dataclass(frozen=True)
@@ -231,10 +235,6 @@ def verify_qbeta(n, delta, gamma, beta, r_grid=None, order=10,
 # Half-space kernel moment bound and its exact scaling law
 
 
-def _sphere_area(n):
-    return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) if n >= 2 else 2.0
-
-
 def _qm_moment(n, delta, gamma, m, t, order, window):
     """``int |Q_m((0,t),(y,s))|^{gamma/(n+m+1)} s^delta dy ds`` with
     fixed dyadic windows, plus a geometric tail estimate."""
@@ -249,7 +249,7 @@ def _qm_moment(n, delta, gamma, m, t, order, window):
     s_nodes, s_w = composite_gauss(np.concatenate([[0.0], s_oct]), order)
     dens = np.abs(
         q_m_values(R_nodes[:, None] ** 2, t + s_nodes[None, :], n, m)) ** pw
-    lat = (R_w * R_nodes ** (n - 1)) @ dens * _sphere_area(n)
+    lat = (R_w * R_nodes ** (n - 1)) @ dens * sphere_area(n)
     contrib = s_w * s_nodes ** delta * lat
     total = float(contrib.sum())
 
@@ -325,6 +325,9 @@ def verify_qm(n, delta, gamma, m, t_grid=None, order=10, window=12):
 
 
 def _halton(d, count, seed=0):
+    # scipy.stats is slow to import; only the envelope suites need it
+    from scipy.stats import qmc
+
     return qmc.Halton(d, scramble=True, seed=seed).random(count)
 
 
@@ -444,19 +447,9 @@ def _ball_repro_errors(f, spec, X, quad, tol):
     return np.array(errs)
 
 
-def _flat_half(rule):
-    """Flatten a half-space tensor rule to ``(Y, s, w)`` arrays."""
-    mesh, w_lat = rule.lateral_mesh()
-    Y = np.repeat(mesh, rule.s_nodes.size, axis=0)
-    s = np.tile(rule.s_nodes, mesh.shape[0])
-    w = (np.repeat(w_lat, rule.s_nodes.size)
-         * np.tile(rule.s_weights, mesh.shape[0]))
-    return Y, s, w
-
-
 def _half_repro_errors(f, spec, Z, rule):
     n, m = spec.n, spec.m
-    Y, s, w = _flat_half(rule)
+    Y, s, w = rule.flat()
     fw = f(Y, s) * w * s ** m
     errs = []
     for z in Z:
@@ -544,7 +537,6 @@ def verify_representation(f, spec, p=2.0, alpha=0.0, weight=None,
             order=quad.rrule.order + 2,
             refinement=quad.rrule.boundary_refinement + 2)
         fine = _ball_repro_errors(f, spec, X, fquad, tol)
-        threshold = 1e-4
     else:
         if f.domain != "halfspace" or f.n != spec.n:
             raise DomainError("function/kernel domain mismatch")
@@ -583,7 +575,7 @@ def verify_representation(f, spec, p=2.0, alpha=0.0, weight=None,
             rule0 = halfspace_rule(f.n, R_xy=64.0, s_min=2.0 ** -12,
                                    s_max=2.0 ** 8, order=8,
                                    lateral_refinement=10)
-            Y, s, w = _flat_half(rule0)
+            Y, s, w = rule0.flat()
             dens = np.abs(f(Y, s)) ** p * np.asarray(weight.v(s), float)
             norm = float(w @ dens) ** (1.0 / p)
             notes.append(f"membership norm {norm:.6g} "
@@ -601,8 +593,8 @@ def verify_representation(f, spec, p=2.0, alpha=0.0, weight=None,
                                lateral_refinement=13)
         coarse = _half_repro_errors(f, spec, Z, rule)
         fine = _half_repro_errors(f, spec, Z, frule)
-        threshold = 1e-3
 
+    threshold = REPRESENTATION_THRESHOLD[spec.domain]
     max_err = float(fine.max())
     drift = float(np.max(np.abs(fine - coarse)))
     passed = math.isfinite(max_err) and max_err <= threshold

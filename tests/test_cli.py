@@ -8,9 +8,13 @@ different output directories.
 import json
 import math
 
+import numpy as np
 import pytest
 
+from bergman_lab import cli
 from bergman_lab.cli import EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE, main
+from bergman_lab.distance import DistanceReport, SweepEntry
+from bergman_lab.profiles import FINITE, DivergenceProfile, S2Bracket
 
 
 def run(tmp_path, *argv):
@@ -166,6 +170,43 @@ def test_distance_sweep_with_plots(tmp_path):
     body = dats[0].read_text().splitlines()
     rows = [ln for ln in body if ln and not ln.startswith("#")]
     assert rows and all(len(ln.split()) == 2 for ln in rows)
+
+
+def _report_with_repro(domain, repro_error):
+    """A resolved one-entry sweep whose only defect is ``repro_error``."""
+    cuts = np.arange(1.0, 6.0)
+    profile = DivergenceProfile(cuts, 1.0 - 2.0 ** -cuts, -1.0, FINITE)
+    entry = SweepEntry(
+        2.0, np.array([0.1]), (profile,), S2Bracket(0.0, 0.1, True, ()),
+        0.05, (0.2,), (0.2,), (2.0,), (None,), repro_error, True, ())
+    return DistanceReport("solid_k2", domain, 3, 2.0, None, 1.0, 1.5, 0.4,
+                          (entry,), ())
+
+
+@pytest.mark.parametrize("domain, label, repro_error, expected", [
+    ("ball", "solid_k2", 5e-5, EXIT_PASS),
+    ("ball", "solid_k2", 0.0593, EXIT_INCONCLUSIVE),
+    ("ball", "solid_k2", math.nan, EXIT_PASS),
+    ("halfspace", "qm_w0", 8e-4, EXIT_PASS),
+    ("halfspace", "qm_w0", 2e-3, EXIT_INCONCLUSIVE),
+])
+def test_distance_flags_bad_reconstruction(tmp_path, monkeypatch, capsys,
+                                           domain, label, repro_error,
+                                           expected):
+    # the threshold is the representation check's: 1e-4 on the ball,
+    # 1e-3 on the half-space; nan means the decomposition was skipped
+    monkeypatch.setattr(cli, "equivalence_experiment",
+                        lambda *a, **k: _report_with_repro(domain,
+                                                           repro_error))
+    code = run(tmp_path, "distance", "--domain", domain, "--f", label,
+               "--basename", "d")
+    assert code == expected
+    notes = json.loads((tmp_path / "d.json").read_text())["report"]["notes"]
+    if expected == EXIT_INCONCLUSIVE:
+        assert "exceeds the representation threshold" in capsys.readouterr().err
+        assert len(notes) == 1 and notes[0].startswith("INCONCLUSIVE")
+    else:
+        assert notes == []
 
 
 # ---------------------------------------------------------------------------
