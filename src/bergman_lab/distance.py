@@ -39,7 +39,7 @@ from scipy.special import betainc
 
 from .errors import DivergenceDetected, DomainError
 from .geometry import BallPoint, HalfPoint, tangent_frame
-from .kernels import q_beta_values, q_m_values
+from .kernels import q_beta_grid, q_beta_values, q_m_values
 from .profiles import (
     DIVERGENT,
     FINITE,
@@ -234,10 +234,15 @@ class _BallEngine(_S2Engine):
     """Ball skeleton: radial rules, outer radii ``R`` with volume weights
     ``ow``, and the sums up to each truncation.  A subclass supplies
     ``inner_matrix(eps)`` on (``R``, outer direction) and the direction
-    weights ``w_out``."""
+    weights ``w_out``, and raises ``kernel_tail`` to the largest certified
+    tail of the kernel rows it has used; rows stop at ``K_CAP``, so that
+    tail can exceed ``tol``."""
 
-    def __init__(self, f, lam, kernel, p, alpha, j_levels, order, q_outer):
+    def __init__(self, f, lam, kernel, p, alpha, j_levels, order, tol,
+                 q_outer):
         super().__init__(f, lam, kernel, p, alpha, j_levels, q_outer)
+        self.tol = tol
+        self.kernel_tail = 0.0
         j_max = int(self.j_levels.max())
         n = f.n
         self.rr_in = radial_rule(order, j_max + 2)
@@ -268,7 +273,8 @@ class _BallZonalEngine(_BallEngine):
             raise DomainError(
                 "the reduced engine needs an axisymmetric function that is "
                 "monotone in the cosine to its axis")
-        super().__init__(f, lam, kernel, p, alpha, j_levels, order, q_outer)
+        super().__init__(f, lam, kernel, p, alpha, j_levels, order, tol,
+                         q_outer)
         n = f.n
         self.rho = self.rr_in.nodes
         zr_u = zonal_rule(n, order, u_refinement)
@@ -277,18 +283,16 @@ class _BallZonalEngine(_BallEngine):
         self.c, self.w_out = zr_c.u_nodes, zr_c.weights
 
         # kernel magnitude table |Q|(R_k rho_j, u_i), combined with the
-        # inner weights; one batched series evaluation, reused for every
+        # inner weights; one product-grid evaluation, reused for every
         # level and truncation
-        q = (self.R[:, None, None] * self.rho[None, :, None])
-        q = np.broadcast_to(q, (self.R.size, self.rho.size, self.u.size))
-        t = np.broadcast_to(self.u[None, None, :], q.shape)
-        vals, self.table_tail = q_beta_values(
-            kernel, np.ascontiguousarray(q.ravel()),
-            np.ascontiguousarray(t.ravel()), tol=tol)
+        vals, tails = q_beta_grid(
+            kernel, (self.R[:, None] * self.rho[None, :]).ravel(), self.u,
+            tol=tol)
+        self.kernel_tail = float(tails.max())
         w_in = (self.rr_in.weights * self.rho ** (n - 1)
                 * (1.0 - self.rho) ** (kernel.beta - lam))
-        wt = np.abs(vals).reshape(q.shape) * (w_in[None, :, None]
-                                              * self.wu[None, None, :])
+        wt = (np.abs(vals).reshape(self.R.size, self.rho.size, self.u.size)
+              * (w_in[None, :, None] * self.wu[None, None, :]))
         self._wt = wt.reshape(self.R.size, -1)
 
     def inner_matrix(self, eps):
@@ -308,43 +312,38 @@ class _BallGridEngine(_BallEngine):
     """Generic s2 evaluator with a pointwise level-set mask."""
 
     def __init__(self, f, lam, kernel, p, alpha, j_levels, order=6,
-                 inner_degree=15, outer_degree=11, tol=1e-9, q_outer=None,
-                 chunk=8):
+                 inner_degree=15, outer_degree=11, tol=1e-9, q_outer=None):
         if f.domain != "ball":
             raise DomainError("ball engine needs a ball function")
-        super().__init__(f, lam, kernel, p, alpha, j_levels, order, q_outer)
-        self.tol = tol
-        self.chunk = chunk
+        super().__init__(f, lam, kernel, p, alpha, j_levels, order, tol,
+                         q_outer)
 
         sr_in = sphere_rule(f.n, inner_degree)
-        self.rho, dirs_in, w0 = ball_grid(sr_in, self.rr_in)
-        self.wsize = np.abs(f(self.rho[:, None] * dirs_in)) * (1.0 - self.rho) ** lam
-        self.w_beta = w0 * (1.0 - self.rho) ** (kernel.beta - lam)
+        rho, dirs_in, w0 = ball_grid(sr_in, self.rr_in)
+        shape = (self.rr_in.nodes.size, -1)  # (ring, inner direction)
+        self.wsize = (np.abs(f(rho[:, None] * dirs_in))
+                      * (1.0 - rho) ** lam).reshape(shape)
+        self.w_beta = (w0 * (1.0 - rho) ** (kernel.beta - lam)).reshape(shape)
 
         sr_out = sphere_rule(f.n, outer_degree)
         self.w_out = sr_out.weights
         self._tmat = sr_out.nodes @ sr_in.nodes.T  # (dirs_out, dirs_in)
-        self._nd_in = sr_in.nodes.shape[0]
 
     def inner_matrix(self, eps):
+        """Inner integral on the outer (radius, direction) grid: one
+        product-grid kernel call per inner ring, over the ring's masked
+        directions."""
         mask = self.wsize >= eps
-        nd_out = self._tmat.shape[0]
-        inner = np.zeros((self.R.size, nd_out))
-        if not np.any(mask):
-            return inner
-        rho_m = self.rho[mask]
-        w_m = self.w_beta[mask]
-        col = np.flatnonzero(mask) % self._nd_in
-        t_cols = np.ascontiguousarray(self._tmat[:, col])  # (nd_out, M)
-        for k0 in range(0, self.R.size, self.chunk):
-            k1 = min(k0 + self.chunk, self.R.size)
-            q = self.R[k0:k1, None, None] * rho_m[None, None, :]
-            q = np.broadcast_to(q, (k1 - k0, nd_out, rho_m.size))
-            t = np.broadcast_to(t_cols[None, :, :], q.shape)
-            vals, _ = q_beta_values(
-                self.kernel, np.ascontiguousarray(q.ravel()),
-                np.ascontiguousarray(t.ravel()), tol=self.tol)
-            inner[k0:k1] = np.abs(vals).reshape(q.shape) @ w_m
+        inner = np.zeros((self.R.size, self._tmat.shape[0]))
+        for i in np.flatnonzero(mask.any(axis=1)):
+            cols = np.flatnonzero(mask[i])
+            t = self._tmat[:, cols]  # (dirs_out, masked dirs_in)
+            vals, tails = q_beta_grid(self.kernel,
+                                      self.R * self.rr_in.nodes[i],
+                                      t.ravel(), tol=self.tol)
+            self.kernel_tail = max(self.kernel_tail, float(tails.max()))
+            inner += (np.abs(vals).reshape(self.R.size, *t.shape)
+                      @ self.w_beta[i, cols])
         return inner
 
 
@@ -864,6 +863,12 @@ def equivalence_experiment(f, p, alpha, kernel_sweep, q=None, eps_grid=None,
 
         bracket = _resolve_bracket(engine, eps_sorted, classes, sup,
                                    max(target_width_frac * sup, 1e-12))
+        # rows stopped at K_CAP leave truncated values the classifier
+        # reads without the certificate; flagged, not yet refused
+        if f.domain == "ball" and engine.kernel_tail > engine.tol:
+            entry_notes.append(
+                f"uncertified kernel: largest row tail "
+                f"{engine.kernel_tail:.3g} exceeds tol {engine.tol:g}")
         if bracket.lower == 0.0:
             s2_est = 0.0
         elif math.isinf(bracket.upper):

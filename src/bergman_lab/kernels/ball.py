@@ -45,6 +45,7 @@ __all__ = [
     "poisson_partial_sums",
     "q_beta_series",
     "q_beta_values",
+    "q_beta_grid",
     "q_beta_bound",
     "q_beta_bound_qt",
     "qbeta_tail_bound",
@@ -56,6 +57,13 @@ K_CAP = 16384
 
 #: hard refusal threshold for r * rho without an explicit override
 NEAR_BOUNDARY_Q = 0.999
+
+#: element budget of each temporary in one block of ``q_beta_grid``
+_GRID_BUDGET = 1 << 15
+
+#: most degrees in one block of ``q_beta_grid``; a row that stops inside
+#: a block still pays for the rest of it
+_GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -253,7 +261,8 @@ def q_beta_values(spec, q, t, tol=1e-12, k_max=None):
 
     Returns ``(values, max_tail)`` where ``max_tail`` certifies the
     worst truncation error over the batch.  Degrees are chosen from the
-    tail bound at ``max(q)`` and capped at ``K_CAP``.
+    tail bound at ``max(q)`` and capped at ``K_CAP``.  Nodes that form a
+    radius x cosine product are cheaper through :func:`q_beta_grid`.
     """
     if spec.domain != "ball":
         raise DomainError("q_beta_values needs a ball kernel spec")
@@ -265,6 +274,83 @@ def q_beta_values(spec, q, t, tol=1e-12, k_max=None):
     tabs = _qbeta_tables(spec.n, spec.beta, K_CAP)
     values = _series_qt(tabs, q, t, k_max, tol)
     return values, qbeta_tail_bound(spec.n, spec.beta, q_max, k_max)
+
+
+def q_beta_grid(spec, q, t, tol=1e-12):
+    """``Q_beta`` on the product of radii ``q = r * rho`` and cosines ``t``.
+
+    Returns ``(values, tails)`` with ``values[i, j] = Q_beta(q[i], t[j])``
+    and ``tails[i]`` the certified tail bound of row ``i``.  Row ``i``
+    stops at the first degree whose geometric tail bound is at most
+    ``tol`` (the test that stops a node in :func:`q_beta_values`), or at
+    ``K_CAP``, where its tail may exceed ``tol``.
+
+    The zonal recurrence runs once over ``t``.  Degrees are walked in
+    blocks that carry the recurrence's last two rows, and each block of
+    ``G_k(t)`` is contracted with the row coefficients ``a_k q_i^k``, so
+    no temporary exceeds a fixed element budget (or one row of ``t``).
+    The contraction is ``np.einsum`` rather than BLAS: a row's bits then
+    depend neither on the other rows nor on the BLAS thread count.
+    """
+    if spec.domain != "ball":
+        raise DomainError("q_beta_grid needs a ball kernel spec")
+    if tol <= 0.0:
+        raise DomainError("q_beta_grid needs tol > 0")
+    q = np.asarray(q, dtype=float)
+    t = np.clip(np.asarray(t, dtype=float), -1.0, 1.0)
+    if q.ndim != 1 or t.ndim != 1:
+        raise DomainError("q_beta_grid needs one-dimensional q and t")
+    if np.any(q < 0.0) or np.any(q >= 1.0):
+        raise DivergentSeriesError("series needs 0 <= r * rho < 1")
+    tabs = _qbeta_tables(spec.n, spec.beta, K_CAP)
+    values = np.zeros((q.size, t.size))
+    tails = np.empty(q.size)
+    step = max(1, min(_GRID_BLOCK, _GRID_BUDGET // max(t.size, 1)))
+    rows_per = max(1, _GRID_BUDGET // max(step, t.size))
+    live = np.arange(q.size)
+    qk = np.ones(q.size)  # q^k0 at the start of a block
+    g_prev = g_cur = None
+    for k0 in range(0, K_CAP + 1, step):
+        if live.size == 0:
+            break
+        k1 = min(k0 + step, K_CAP + 1)
+        G = np.empty((k1 - k0, t.size))
+        for k in range(k0, k1):
+            if k == 0:
+                g = np.ones_like(t)
+            elif k == 1:
+                g = tabs.g1_coef * t
+            else:
+                g = (tabs.c1[k] * t) * g_cur - tabs.c2[k] * g_prev
+            g_prev, g_cur = g_cur, g
+            G[k - k0] = g
+        deg = np.arange(k1 - k0)
+        running = []
+        for c0 in range(0, live.size, rows_per):
+            rows = live[c0:c0 + rows_per]
+            qr = q[rows][:, None]
+            # q^k as the running product the per-node series uses
+            steps = np.repeat(qr, k1 - k0, axis=1)
+            steps[:, 0] = qk[rows]
+            pw = np.multiply.accumulate(steps, axis=1)
+            rho = qr * tabs.rs[k0:k1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tail = np.where(rho < 1.0,
+                                (tabs.brs[k0:k1] * pw) * qr / (1.0 - rho),
+                                np.inf)
+            stop = tail <= tol
+            if k1 == K_CAP + 1:
+                stop[:, -1] = True
+            hit = stop.any(axis=1)
+            last = np.where(hit, np.argmax(stop, axis=1), k1 - k0)
+            coef = tabs.a[k0:k1] * pw
+            coef[deg[None, :] > last[:, None]] = 0.0
+            values[rows] += np.einsum("ik,kj->ij", coef, G)
+            tails[rows[hit]] = tail[hit, last[hit]]
+            qk[rows] = pw[:, -1] * qr[:, 0]
+            running.append(rows[~hit])
+        live = np.concatenate(running)
+    return values, tails
 
 
 def q_beta_series(x: BallPoint, y: BallPoint, spec, trunc=None):

@@ -25,6 +25,7 @@ from .kernels import (
     ball_kernel,
     halfspace_kernel,
     q_beta_bound_qt,
+    q_beta_grid,
     q_beta_values,
     q_m_bound_values,
     q_m_values,
@@ -185,14 +186,11 @@ def _qbeta_moment(n, delta, gamma, beta, r_grid, order, refinement,
     zr = zonal_rule(n, order, u_refinement)
     rho = rr.nodes
     w_rho = rr.weights * n * rho ** (n - 1) * (1.0 - rho) ** delta
-    out = []
-    for r in r_grid:
-        q = np.repeat(r * rho, zr.u_nodes.size)
-        t = np.tile(zr.u_nodes, rho.size)
-        vals, _ = q_beta_values(spec, q, t, tol=tol)
-        mom = np.abs(vals).reshape(rho.size, -1) ** pw @ zr.weights
-        out.append(float(w_rho @ mom) * (1.0 - r) ** (gamma - n - delta))
-    return np.array(out)
+    vals, _ = q_beta_grid(spec, (r_grid[:, None] * rho[None, :]).ravel(),
+                          zr.u_nodes, tol=tol)
+    mom = (np.abs(vals) ** pw @ zr.weights).reshape(r_grid.size, rho.size)
+    return np.array([float(w_rho @ m) * (1.0 - r) ** (gamma - n - delta)
+                     for r, m in zip(r_grid, mom)])
 
 
 def verify_qbeta(n, delta, gamma, beta, r_grid=None, order=10,
@@ -347,10 +345,8 @@ def _ball_bound_sups(spec, sample_count, order, u_refinement, tol):
     zr = zonal_rule(n, order, u_refinement)
     pts = _halton(2, sample_count // 8, seed=1)
     q = (0.99 * pts[:, 0]) * (0.99 * pts[:, 1])
-    vals, _ = q_beta_values(
-        spec, np.repeat(q, zr.u_nodes.size),
-        np.tile(zr.u_nodes, q.size), tol=tol)
-    means = np.abs(vals).reshape(q.size, -1) @ zr.weights
+    vals, _ = q_beta_grid(spec, q, zr.u_nodes, tol=tol)
+    means = np.abs(vals) @ zr.weights
     sups["part2"] = float(np.max(means * (1.0 - q) ** (1.0 + beta)))
 
     # part 3: int_S |r x' - y'|^-beta dx' <= C (1-r)^-(beta-n+1), beta > n-1
@@ -438,10 +434,8 @@ def _ball_repro_errors(f, spec, X, quad, tol):
     for x in X:
         r = float(np.linalg.norm(x))
         xp = x / r if r > 0 else np.eye(n)[0]
-        q = np.repeat(r * rho, srule.nodes.shape[0])
-        t = np.tile(srule.nodes @ xp, rho.size)
-        vals, _ = q_beta_values(spec, q, t, tol=tol)
-        repro = float(np.sum(vals.reshape(rho.size, -1) * w))
+        vals, _ = q_beta_grid(spec, r * rho, srule.nodes @ xp, tol=tol)
+        repro = float(np.sum(vals * w))
         fx = float(f(x[None, :])[0])
         errs.append(abs(repro - fx) / (1.0 + abs(fx)))
     return np.array(errs)

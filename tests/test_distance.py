@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bergman_lab.distance import (LevelSetSpec, decompose,
+from bergman_lab.distance import (LevelSetSpec, _make_engine, decompose,
                                   equivalence_experiment, in_level_set,
                                   level_mask, s1_upper, s2_inner,
                                   s2_inner_mc)
@@ -205,6 +205,39 @@ def test_equivalence_experiment_halfspace_structure():
     assert entry.profiles[-1].classification == "FINITE"
     assert entry.bracket.upper < math.inf
     assert math.isnan(entry.repro_error)
+
+
+def test_equivalence_experiment_notes_uncertified_kernel_tail():
+    # levels up to 10 put zonal table rows at q ~ 0.999, where the
+    # degree stops at K_CAP with a tail far above tol; the note flags it
+    # and leaves the classifications alone
+    f = gallery_fn("poisson_e1", "ball", 3)
+    report = equivalence_experiment(f, 2.0, 1.0, [2.0],
+                                    skip_decomposition=True,
+                                    engine_opts={"order": 3,
+                                                 "u_refinement": 10})
+    entry = report.to_dict()["sweep"][0]
+    assert any(note.startswith("uncertified kernel: largest row tail")
+               and note.endswith("exceeds tol 1e-09")
+               for note in entry["notes"])
+    assert [p["classification"] for p in entry["profiles"]] == [
+        "DIVERGENT"] * 4 + ["FINITE"]
+
+
+def test_grid_engine_kernel_tail_within_tol():
+    f = gallery_fn("solid_k2", "ball", 3)
+    report = equivalence_experiment(f, 2.0, 1.0, [2.0], method="grid",
+                                    skip_decomposition=True,
+                                    engine_opts={"order": 3,
+                                                 "inner_degree": 7,
+                                                 "outer_degree": 5})
+    assert not any(note.startswith("uncertified kernel")
+                   for note in report.entries[0].notes)
+    engine = _make_engine(f, 2.0, ball_kernel(3, 2.0), 2.0, 1.0,
+                          method="grid", order=3, inner_degree=7,
+                          outer_degree=5)
+    engine.profile(0.001)
+    assert 0.0 < engine.kernel_tail <= engine.tol
 
 
 def test_equivalence_experiment_guards():

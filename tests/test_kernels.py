@@ -1,12 +1,26 @@
 """Kernel series and closed forms: spot values, oracles, backends."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
-from bergman_lab.errors import DomainError
-from bergman_lab.kernels import _dispatch, ball_kernel, halfspace_kernel
+import bergman_lab
+from bergman_lab.errors import DivergentSeriesError, DomainError
+from bergman_lab.kernels import (
+    K_CAP,
+    _dispatch,
+    ball_kernel,
+    halfspace_kernel,
+    q_beta_grid,
+    qbeta_pick_k,
+)
 from bergman_lab.kernels.ball import (
     poisson_ball_rt,
     poisson_partial_sums,
@@ -104,6 +118,162 @@ def test_q_beta_bound_envelope_positive():
     B = q_beta_bound_qt(q[:, None], t[None, :], 3, 2.0)
     assert np.all(B > 0.0)
     assert np.all(np.isfinite(B))
+
+
+# ---------------------------------------------------------------------------
+# Weighted kernel on radius x cosine products
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 3.0, 4.0])
+def test_q_beta_grid_matches_series(n, beta):
+    # near t = -1 the terms cancel, so both summations carry rounding
+    # error of the row's size, the value at t = 1; compare to that scale
+    spec = ball_kernel(n, beta)
+    q = np.linspace(0.0, 0.99, 12)
+    t = np.linspace(-1.0, 1.0, 17)
+    got, _ = q_beta_grid(spec, q, t, tol=1e-12)
+    want, _ = q_beta_values(spec, np.repeat(q, t.size), np.tile(t, q.size),
+                            tol=1e-12)
+    want = want.reshape(q.size, t.size)
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def _q_beta_mpmath(n, beta, q, t):
+    """2 sum_k c_k q^k Z_k(t) at 50 digits, to a 1e-40 relative tail."""
+    with mpmath.workdps(50):
+        q, t, beta = mpmath.mpf(q), mpmath.mpf(t), mpmath.mpf(beta)
+        half = mpmath.mpf(n) / 2
+        lam = half - 1
+        c = mpmath.gamma(beta + 1 + half) / (mpmath.gamma(beta + 1)
+                                             * mpmath.gamma(half))
+        g_prev, g_cur = mpmath.mpf(0), mpmath.mpf(1)
+        total = mpmath.mpf(0)
+        k = 0
+        while True:
+            if n == 2:
+                z = g_cur if k == 0 else 2 * g_cur
+            else:
+                z = (2 * k + n - 2) / mpmath.mpf(n - 2) * g_cur
+            total += 2 * c * q**k * z
+            # |term| <= 2 c_k q^k Z_k(1) <= c_k q^k (k + 2)^(n + 1); at
+            # q <= 0.95 the rest sums to under 1e-40 of the total
+            if k > 20 and c * q**k * (k + 2) ** (n + 1) < 1e-45 * abs(total):
+                return float(total)
+            k += 1
+            if n == 2:
+                g_next = (t if k == 1 else 2 * t * g_cur) - (
+                    0 if k == 1 else g_prev)
+            else:
+                g_next = (2 * (k + lam - 1) * t * g_cur
+                          - (k + 2 * lam - 2) * g_prev) / k
+            g_prev, g_cur = g_cur, g_next
+            c = c * (beta + k + half) / (k - 1 + half)
+
+
+@pytest.mark.parametrize("n,beta,q,t", [
+    (2, 0.0, 0.5, 0.3),
+    (2, 3.0, 0.9, -0.4),
+    (3, 2.0, 0.9, -0.7),
+    (3, 1.0, 0.95, 1.0),
+    (5, 4.0, 0.8, 0.6),
+    (5, 0.0, 0.7, -1.0),
+])
+def test_q_beta_grid_against_mpmath(n, beta, q, t):
+    got, tails = q_beta_grid(ball_kernel(n, beta), np.array([q]),
+                             np.array([t]), tol=1e-13)
+    want = _q_beta_mpmath(n, beta, q, t)
+    scale = _q_beta_mpmath(n, beta, q, 1.0)
+    assert abs(got[0, 0] - want) <= 1e-12 * scale
+    assert tails[0] <= 1e-13
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+def test_q_beta_grid_tails_below_tol(tol):
+    spec = ball_kernel(3, 2.0)
+    q = np.linspace(0.0, 0.995, 40)
+    assert qbeta_pick_k(3, 2.0, q.max(), tol) < K_CAP
+    _, tails = q_beta_grid(spec, q, np.linspace(-1.0, 1.0, 5), tol=tol)
+    assert np.all(tails <= tol)
+
+
+def test_q_beta_grid_tail_is_honest():
+    spec = ball_kernel(3, 2.0)
+    q = np.array([0.9, 0.97, 0.99])
+    t = np.array([0.9, -0.5, 1.0])
+    loose, tails = q_beta_grid(spec, q, t, tol=1e-6)
+    tight, _ = q_beta_grid(spec, q, t, tol=1e-13)
+    assert np.all(np.abs(loose - tight) <= tails[:, None] + 1e-12)
+
+
+def test_q_beta_grid_rows_are_independent():
+    rng = np.random.default_rng(5)
+    spec = ball_kernel(3, 1.0)
+    q = rng.uniform(0.0, 0.98, 9)
+    for t in (rng.uniform(-1.0, 1.0, 37), np.array([0.25])):
+        vals, tails = q_beta_grid(spec, q, t, tol=1e-12)
+        for i in range(q.size):
+            row, tail = q_beta_grid(spec, q[i:i + 1], t, tol=1e-12)
+            assert np.array_equal(row[0], vals[i])
+            assert tail[0] == tails[i]
+
+
+def test_q_beta_grid_empty_and_refusals():
+    spec = ball_kernel(3, 2.0)
+    vals, tails = q_beta_grid(spec, np.array([]), np.linspace(-1, 1, 4))
+    assert vals.shape == (0, 4) and tails.shape == (0,)
+    vals, tails = q_beta_grid(spec, np.array([0.2, 0.5]), np.array([]))
+    assert vals.shape == (2, 0) and np.all(tails <= 1e-12)
+    with pytest.raises(DivergentSeriesError):
+        q_beta_grid(spec, np.array([0.5, 1.0]), np.array([0.0]))
+    with pytest.raises(DomainError, match="ball kernel"):
+        q_beta_grid(halfspace_kernel(1, 0), np.array([0.5]), np.array([0.0]))
+    with pytest.raises(DomainError, match="tol"):
+        q_beta_grid(spec, np.array([0.5]), np.array([0.0]), tol=0.0)
+
+
+def test_q_beta_grid_memory_is_bounded_at_k_cap():
+    # the full K_CAP x len(t) table would take 52 MB
+    spec = ball_kernel(3, 2.0)
+    q = np.array([0.9995, 0.5])
+    t = np.linspace(-1.0, 1.0, 400)
+    assert qbeta_pick_k(3, 2.0, q[0], 1e-12) == K_CAP
+    tracemalloc.start()
+    try:
+        vals, tails = q_beta_grid(spec, q, t, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert tails[0] > 1e-12 and tails[1] <= 1e-12
+    assert np.all(np.isfinite(vals))
+
+
+_GRID_DIGEST = """
+import hashlib, numpy as np
+from bergman_lab.kernels import ball_kernel, q_beta_grid
+rng = np.random.default_rng(3)
+vals, tails = q_beta_grid(ball_kernel(3, 2.0), rng.uniform(0.0, 0.99, 300),
+                          rng.uniform(-1.0, 1.0, 500))
+print(hashlib.sha256(vals.tobytes() + tails.tobytes()).hexdigest())
+"""
+
+
+def test_q_beta_grid_bits_ignore_blas_threads():
+    src = str(Path(bergman_lab.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        res = subprocess.run([sys.executable, "-c", _GRID_DIGEST], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        digests.append(res.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_ball_kernel_validation():
