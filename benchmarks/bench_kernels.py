@@ -9,6 +9,14 @@
    times ``q_beta_grid`` against ``q_beta_values`` on the same nodes and
    prints both times and the largest difference relative to each row's
    largest value; exits non-zero above 1e-12.
+3. The decomposition part f2 of ``solid_k2`` (n = 3, beta = 2,
+   ``default_ball_quad(3)``) at the lowest level of the distance
+   experiment, evaluated on the 308 points of the weighted-sup grid:
+   times the part (radius groups on ``q_beta_grid``) against a per-node
+   reference sum (one ``q_beta_values`` call per point over the level
+   set's nodes, timed once) and prints both times and the largest
+   difference relative to max(1, |reference|); exits non-zero above
+   1e-12.
 
 Run:  python3 benchmarks/bench_kernels.py [--points N] [--repeats K]
 """
@@ -18,10 +26,12 @@ import time
 
 import numpy as np
 
+from bergman_lab.distance import LevelSetSpec, _sup_points, decompose
 from bergman_lab.kernels import ball_kernel, q_beta_grid, q_beta_values
 from bergman_lab.kernels._dispatch import (HAVE_COMPILED, backend_name,
                                            set_backend)
-from bergman_lab.spaces import default_ball_quad
+from bergman_lab.quadrature import ball_grid
+from bergman_lab.spaces import ainf_norm, default_ball_quad, gallery_fn
 
 PRODUCT_TOL = 1e-12
 
@@ -73,6 +83,47 @@ def bench_product(repeats, r=0.73):
                          f"> {PRODUCT_TOL:g}")
 
 
+def bench_decomposition(repeats, tol=1e-11):
+    """f2 at the lowest level of the member experiment on the sup grid."""
+    f = gallery_fn("solid_k2", "ball", 3)
+    kernel = ball_kernel(3, 2.0)
+    quad = default_ball_quad(3)
+    lam = 2.0  # (alpha + n) / p at p = 2, alpha = 1
+    sup, _ = ainf_norm(f, lam, convention="1-r")
+    spec = LevelSetSpec(0.125 * sup, lam)
+    X = _sup_points(f)
+    _, f2 = decompose(f, spec, kernel, quad=quad, tol=tol)
+    part_s, part = best_of(repeats, lambda: f2(X))
+
+    rho, dirs, w = ball_grid(quad.srule, quad.rrule)
+    fv = f(rho[:, None] * dirs)
+    w_signed = w * (1.0 - rho * rho) ** kernel.beta * fv
+    mask = np.abs(fv) * (1.0 - rho) ** spec.lam >= spec.eps
+    rho, dirs, w_signed = rho[mask], dirs[mask], w_signed[mask]
+    r = np.linalg.norm(X, axis=1)
+    xd = np.where(r[:, None] > 0, X / np.maximum(r, 1e-300)[:, None], 0.0)
+    xd[r == 0, 0] = 1.0
+
+    def reference():
+        out = np.empty(X.shape[0])
+        for i in range(X.shape[0]):
+            vals, _ = q_beta_values(kernel, r[i] * rho, dirs @ xd[i], tol=tol)
+            out[i] = np.sum(vals * w_signed)
+        return out
+
+    ref_s, ref = best_of(1, reference)
+    rel = float(np.max(np.abs(part - ref) / np.maximum(1.0, np.abs(ref))))
+    print(f"decomposition f2 at {X.shape[0]} sup points, "
+          f"{rho.size} level-set nodes")
+    print(f"  per-node sum  {1e3 * ref_s:9.2f} ms   (once)")
+    print(f"  grid part     {1e3 * part_s:9.2f} ms   "
+          f"({ref_s / part_s:.1f} x, best of {repeats})")
+    print(f"  max |part - reference| / max(1, |reference|) = {rel:.3g}")
+    if rel > PRODUCT_TOL:
+        raise SystemExit(f"part and reference differ by {rel:.3g} "
+                         f"> {PRODUCT_TOL:g}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=4000)
@@ -106,6 +157,7 @@ def main():
         print("compiled extension not built; python fallback only")
 
     bench_product(args.repeats)
+    bench_decomposition(args.repeats)
 
 
 if __name__ == "__main__":

@@ -75,6 +75,10 @@ __all__ = [
     "S2Bracket",
 ]
 
+#: element budget of the kernel values block behind one ``q_beta_grid``
+#: call of a decomposition part
+_PART_BUDGET = 1 << 18
+
 
 @dataclass(frozen=True)
 class LevelSetSpec:
@@ -534,23 +538,36 @@ def s2_profile(f, spec, kernel, p, alpha, j_levels=None, method="auto",
 # Constructive decomposition
 
 
-def _kernel_part_ball(f, kernel, rho, dirs, w_signed, tol, chunk=512):
-    """Quadrature-backed harmonic function sum_m Q_beta(x, y_m) w_m."""
+def _kernel_part_ball(kernel, rho, dirs, W, tol):
+    """Quadrature-backed harmonic function
+    ``sum_{i,j} Q_beta(x, rho_i d_j) W[i, j]`` on the product grid.
+
+    A point at radius ``r`` meets the rows ``r * rho_i`` and the cosines
+    ``<x', d_j>``, so points of one radius share one kernel grid; rows
+    whose weights are all zero are dropped.
+    """
+    live = np.any(W != 0.0, axis=1)
+    rho, W = rho[live], W[live]
+    # points per kernel grid, so that the values block stays in budget
+    per = max(1, _PART_BUDGET // max(rho.size * dirs.shape[0], 1))
 
     def fn(X):
         X = np.asarray(X, dtype=float)
         r = np.linalg.norm(X, axis=1)
         xd = np.where(r[:, None] > 0, X / np.maximum(r, 1e-300)[:, None], 0.0)
         xd[r == 0, 0] = 1.0
-        out = np.empty(X.shape[0])
-        for k0 in range(0, X.shape[0], chunk):
-            k1 = min(k0 + chunk, X.shape[0])
-            q = r[k0:k1, None] * rho[None, :]
-            t = xd[k0:k1] @ dirs.T
-            vals, _ = q_beta_values(
-                kernel, np.ascontiguousarray(q.ravel()),
-                np.ascontiguousarray(t.ravel()), tol=tol)
-            out[k0:k1] = vals.reshape(q.shape) @ w_signed
+        out = np.zeros(X.shape[0])
+        if rho.size == 0:
+            return out
+        radii, group = np.unique(r, return_inverse=True)
+        for g, rg in enumerate(radii):
+            pts = np.flatnonzero(group == g)
+            for k0 in range(0, pts.size, per):
+                idx = pts[k0:k0 + per]
+                t = np.einsum("pk,jk->pj", xd[idx], dirs)
+                vals, _ = q_beta_grid(kernel, rg * rho, t.ravel(), tol)
+                out[idx] = np.einsum("ipj,ij->p",
+                                     vals.reshape(rho.size, idx.size, -1), W)
         return out
 
     return fn
@@ -591,14 +608,16 @@ def decompose(f, spec, kernel, quad=None, tol=1e-11):
         fv = f(Y)
         w_signed = w * (1.0 - rho * rho) ** kernel.beta * fv
         mask = np.abs(fv) * (1.0 - rho) ** spec.lam >= spec.eps
-        f1 = HarmonicFn(f.label + "_f1", "ball", f.n,
-                        _kernel_part_ball(f, kernel, rho[~mask], dirs[~mask],
-                                          w_signed[~mask], tol),
-                        axis=f.axis)
-        f2 = HarmonicFn(f.label + "_f2", "ball", f.n,
-                        _kernel_part_ball(f, kernel, rho[mask], dirs[mask],
-                                          w_signed[mask], tol),
-                        axis=f.axis)
+        # ball_grid is radius-major: node (i, j) is rho_i * d_j
+        shape = (quad.rrule.nodes.size, quad.srule.nodes.shape[0])
+        W = w_signed.reshape(shape)
+        mask = mask.reshape(shape)
+        f1, f2 = (HarmonicFn(f.label + suffix, "ball", f.n,
+                             _kernel_part_ball(kernel, quad.rrule.nodes,
+                                               quad.srule.nodes,
+                                               np.where(part, W, 0.0), tol),
+                             axis=f.axis)
+                  for suffix, part in (("_f1", ~mask), ("_f2", mask)))
         return f1, f2
 
     m = kernel.m

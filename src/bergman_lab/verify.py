@@ -450,7 +450,9 @@ def _half_repro_errors(f, spec, Z, rule):
         zy, zt = np.asarray(z[0], dtype=float), float(z[1])
         diff = Y - zy[None, :]
         u = np.einsum("ij,ij->i", diff, diff)
-        repro = float(q_m_values(u, s + zt, n, m) @ fw)
+        # einsum, not a BLAS dot: the sum's bits must not depend on how
+        # many threads the BLAS splits it across
+        repro = float(np.einsum("i,i->", q_m_values(u, s + zt, n, m), fw))
         fz = float(f(zy[None, :], np.array([zt]))[0])
         errs.append(abs(repro - fz) / (1.0 + abs(fz)))
     return np.array(errs)

@@ -8,17 +8,20 @@ two pieces must vanish.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bergman_lab.distance import (LevelSetSpec, _make_engine, decompose,
+from bergman_lab.distance import (LevelSetSpec, _make_engine, _sup_points,
+                                  _weighted_sup_on, decompose,
                                   equivalence_experiment, in_level_set,
                                   level_mask, s1_upper, s2_inner,
                                   s2_inner_mc)
 from bergman_lab.errors import DivergenceDetected, DomainError
-from bergman_lab.kernels import ball_kernel, halfspace_kernel
+from bergman_lab.kernels import ball_kernel, halfspace_kernel, q_beta_values
 from bergman_lab.profiles import classify_truncations
+from bergman_lab.quadrature import ball_grid
 from bergman_lab.spaces import ainf_norm, default_ball_quad, gallery_fn
 
 INTERIOR = np.array([
@@ -111,13 +114,103 @@ def test_decompose_extreme_levels():
     kernel = ball_kernel(3, 2.0)
     sup, _ = ainf_norm(f, 2.0)
     quad = default_ball_quad(3)
-    # eps above the weighted sup: the level set is empty, f2 vanishes
+    # eps above the weighted sup: the level set is empty, f2 vanishes,
+    # on the boundary shells of the sup grid too
     f1, f2 = decompose(f, LevelSetSpec(2.0 * sup, 2.0), kernel, quad=quad)
-    assert np.max(np.abs(f2(INTERIOR))) == 0.0
+    X = np.vstack([INTERIOR, _sup_points(f)])
+    assert np.array_equal(f2(X), np.zeros(X.shape[0]))
     assert np.max(np.abs(f(INTERIOR) - f1(INTERIOR))) < 1e-4
     # eps near zero: the level set fills the ball, f1 vanishes
     f1, f2 = decompose(f, LevelSetSpec(1e-9, 2.0), kernel, quad=quad)
     assert np.max(np.abs(f1(INTERIOR))) < 1e-9
+
+
+def _parts_reference(f, spec, kernel, quad, X, tol=1e-11):
+    """f1 and f2 at ``X`` as per-node kernel sums over the masked nodes,
+    one ``q_beta_values`` call per evaluation radius."""
+    rho, dirs, w = ball_grid(quad.srule, quad.rrule)
+    fv = f(rho[:, None] * dirs)
+    w_signed = w * (1.0 - rho * rho) ** kernel.beta * fv
+    mask = np.abs(fv) * (1.0 - rho) ** spec.lam >= spec.eps
+    r = np.linalg.norm(X, axis=1)
+    out = np.zeros((2, X.shape[0]))
+    for rr in np.unique(r):
+        idx = np.flatnonzero(r == rr)
+        xd = X[idx] / rr if rr > 0 else np.eye(f.n)[[0] * idx.size]
+        for k, part in enumerate((~mask, mask)):
+            if not part.any():
+                continue
+            q = np.broadcast_to(rr * rho[part], (idx.size, part.sum()))
+            t = xd @ dirs[part].T
+            vals, _ = q_beta_values(kernel, q.ravel(), t.ravel(), tol=tol)
+            out[k, idx] = np.sum(vals.reshape(q.shape) * w_signed[part],
+                                 axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_decompose_parts_match_per_node_sums(n):
+    f = gallery_fn("solid_k2", "ball", n)
+    kernel = ball_kernel(n, 2.0)
+    sup_pts = _sup_points(f)
+    spec = LevelSetSpec(0.25 * _weighted_sup_on(f, None, 2.0, sup_pts), 2.0)
+    quad = default_ball_quad(n, degree=11, order=4, refinement=6)
+    f1, f2 = decompose(f, spec, kernel, quad=quad)
+    # sup-grid shells up to |x| = 0.97 share radii (ties), the origin
+    # included; the seeded points all have distinct radii
+    sup_pts = sup_pts[np.linalg.norm(sup_pts, axis=1) <= 0.97]
+    assert not np.any(sup_pts[0])
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((12, n))
+    seeded = v / np.linalg.norm(v, axis=1)[:, None] * rng.uniform(
+        0.05, 0.9, 12)[:, None]
+    for X in (sup_pts, seeded):
+        want = _parts_reference(f, spec, kernel, quad, X)
+        assert np.all(want[0] != 0.0) and np.all(want[1] != 0.0)
+        for got, ref in zip((f1(X), f2(X)), want):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0,
+                                                                  np.abs(ref)))
+
+
+_PARTS_DIGEST = """
+import hashlib, numpy as np
+from bergman_lab.distance import LevelSetSpec, _sup_points, decompose
+from bergman_lab.kernels import ball_kernel
+from bergman_lab.spaces import default_ball_quad, gallery_fn
+f = gallery_fn("solid_k2", "ball", 3)
+quad = default_ball_quad(3, degree=11, order=4, refinement=6)
+f1, f2 = decompose(f, LevelSetSpec(0.05, 2.0), ball_kernel(3, 2.0), quad=quad)
+X = _sup_points(f)[::3]
+print(hashlib.sha256(f1(X).tobytes() + f2(X).tobytes()).hexdigest())
+"""
+
+
+def test_decompose_parts_bits_ignore_blas_threads(outputs_under_blas_threads):
+    digests = outputs_under_blas_threads(_PARTS_DIGEST)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+def test_decompose_part_memory_is_bounded():
+    # the full values block of f2 at the 308 sup points would be
+    # 308 * 180 * 882 doubles (391 MB); the part evaluates it by radius
+    # groups in chunks of a fixed element budget
+    f = gallery_fn("solid_k2", "ball", 3)
+    X = _sup_points(f)
+    assert X.shape[0] == 308
+    sup = _weighted_sup_on(f, None, 2.0, X)
+    # the lowest level of the distance experiment: the largest level set
+    _, f2 = decompose(f, LevelSetSpec(0.125 * sup, 2.0), ball_kernel(3, 2.0),
+                      quad=default_ball_quad(3))
+    f2(X[:1])  # builds the cached kernel coefficient tables
+    tracemalloc.start()
+    try:
+        vals = f2(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak < 8e6
 
 
 def test_halfspace_decompose_reconstructs():

@@ -1,17 +1,12 @@
 """Kernel series and closed forms: spot values, oracles, backends."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-import bergman_lab
 from bergman_lab.errors import DivergentSeriesError, DomainError
 from bergman_lab.kernels import (
     K_CAP,
@@ -260,18 +255,8 @@ print(hashlib.sha256(vals.tobytes() + tails.tobytes()).hexdigest())
 """
 
 
-def test_q_beta_grid_bits_ignore_blas_threads():
-    src = str(Path(bergman_lab.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + os.environ.get("PYTHONPATH", "").split(
-                           os.pathsep)))
-        res = subprocess.run([sys.executable, "-c", _GRID_DIGEST], env=env,
-                             capture_output=True, text=True, timeout=300,
-                             check=True)
-        digests.append(res.stdout.strip())
+def test_q_beta_grid_bits_ignore_blas_threads(outputs_under_blas_threads):
+    digests = outputs_under_blas_threads(_GRID_DIGEST)
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
 

@@ -156,6 +156,24 @@ def test_representation_halfspace():
     assert report.max_ratio <= 1e-3
 
 
+_HALF_REPRO_BITS = """
+from bergman_lab.kernels import halfspace_kernel
+from bergman_lab.spaces import gallery_fn
+from bergman_lab.verify import verify_representation
+report = verify_representation(gallery_fn("qm_w0", "halfspace", 1),
+                               halfspace_kernel(1, 1), p=2.0, alpha=1.0)
+print(report.max_ratio.hex(), report.grid_refinement_drift.hex())
+"""
+
+
+def test_representation_halfspace_bits_ignore_blas_threads(outputs_under_blas_threads):
+    # the reproduction sums are long dot products; a BLAS dot splits them
+    # across threads and changes their last bits with the thread count
+    outputs = outputs_under_blas_threads(_HALF_REPRO_BITS)
+    assert outputs[0].count(" ") == 1
+    assert outputs[0] == outputs[1]
+
+
 def test_representation_nonmember_refused():
     def spike(X):
         r = np.linalg.norm(X, axis=1)
