@@ -17,6 +17,13 @@
    set's nodes, timed once) and prints both times and the largest
    difference relative to max(1, |reference|); exits non-zero above
    1e-12.
+4. The half-space s2 engine of ``qm_w0`` (n = 1, p = 2, alpha = 1,
+   m in {1, 2}, default levels) at the five levels of the distance
+   experiment: times the engine (built afresh, each kernel column
+   evaluated once on the height x lateral product grid) against a
+   per-level masked reference sum over all (row, masked column) pairs,
+   and prints both times and the largest relative difference of the
+   inner integrals; exits non-zero above 1e-12.
 
 Run:  python3 benchmarks/bench_kernels.py [--points N] [--repeats K]
 """
@@ -26,11 +33,13 @@ import time
 
 import numpy as np
 
-from bergman_lab.distance import LevelSetSpec, _sup_points, decompose
-from bergman_lab.kernels import ball_kernel, q_beta_grid, q_beta_values
+from bergman_lab.distance import (LevelSetSpec, _make_engine, _sup_points,
+                                  decompose)
+from bergman_lab.kernels import (ball_kernel, halfspace_kernel, q_beta_grid,
+                                 q_beta_values, q_m_values)
 from bergman_lab.kernels._dispatch import (HAVE_COMPILED, backend_name,
                                            set_backend)
-from bergman_lab.quadrature import ball_grid
+from bergman_lab.quadrature import ball_grid, halfspace_rule
 from bergman_lab.spaces import ainf_norm, default_ball_quad, gallery_fn
 
 PRODUCT_TOL = 1e-12
@@ -124,6 +133,63 @@ def bench_decomposition(repeats, tol=1e-11):
                          f"> {PRODUCT_TOL:g}")
 
 
+def bench_half_engine(repeats, rows=512):
+    """The qm_w0 engine at the experiment's levels against per-level
+    masked sums."""
+    f = gallery_fn("qm_w0", "halfspace", 1)
+    lam = 1.5  # (alpha + n + 1) / p at p = 2, alpha = 1
+    sup, _ = ainf_norm(f, lam, convention="1-r")
+    levels = sup * np.array([0.125, 0.25, 0.5, 0.75, 1.1])
+    ms = (1, 2)
+
+    def engines():
+        out = []
+        for m in ms:
+            engine = _make_engine(f, lam, halfspace_kernel(1, m), 2.0, 1.0)
+            out.append([engine.inner_values(eps) for eps in levels])
+        return out
+
+    eng_s, got = best_of(repeats, engines)
+
+    # the engine's default master grid: levels up to 7, one more level
+    L = 8
+    Y, s, w = halfspace_rule(1, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
+                             order=6, lateral_refinement=L + 2).flat()
+    wsize = np.abs(f(Y, s)) * s**lam
+
+    def reference():
+        out = []
+        for m in ms:
+            per_m = []
+            for eps in levels:
+                mask = wsize >= eps
+                yc, sc = Y[mask, 0], s[mask]
+                wc = (w * s ** (m - lam))[mask]
+                inner = np.zeros(s.size)
+                for k0 in range(0, s.size, rows):
+                    u = (Y[k0:k0 + rows, :1] - yc[None, :]) ** 2
+                    tau = s[k0:k0 + rows, None] + sc[None, :]
+                    inner[k0:k0 + rows] = np.sum(
+                        np.abs(q_m_values(u, tau, 1, m)) * wc, axis=1)
+                per_m.append(inner)
+            out.append(per_m)
+        return out
+
+    ref_s, ref = best_of(1, reference)
+    rel = max(float(np.max(np.abs(a - b)
+                           / np.maximum(b, np.finfo(float).tiny)))
+              for ga, ra in zip(got, ref) for a, b in zip(ga, ra))
+    print(f"half-space engine, qm_w0 (n = 1, m in {ms}), "
+          f"{levels.size} levels, {s.size} grid nodes")
+    print(f"  masked sums   {1e3 * ref_s:9.2f} ms   (once)")
+    print(f"  engine        {1e3 * eng_s:9.2f} ms   "
+          f"({ref_s / eng_s:.1f} x, best of {repeats})")
+    print(f"  max |engine - reference| / reference = {rel:.3g}")
+    if rel > PRODUCT_TOL:
+        raise SystemExit(f"engine and reference differ by {rel:.3g} "
+                         f"> {PRODUCT_TOL:g}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--points", type=int, default=4000)
@@ -158,6 +224,7 @@ def main():
 
     bench_product(args.repeats)
     bench_decomposition(args.repeats)
+    bench_half_engine(args.repeats)
 
 
 if __name__ == "__main__":

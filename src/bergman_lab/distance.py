@@ -76,8 +76,13 @@ __all__ = [
 ]
 
 #: element budget of the kernel values block behind one ``q_beta_grid``
-#: call of a decomposition part
+#: or ``q_m_values`` call of a decomposition part or a half-space engine
 _PART_BUDGET = 1 << 18
+
+#: columns per block of the half-space s2 engine, and the element
+#: budget of its memo of block sums
+_HALF_BLOCK = 64
+_HALF_MEMO_BUDGET = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -360,39 +365,66 @@ class _HalfGridEngine(_S2Engine):
     are probed together.  The master grid extends one level beyond the
     largest window so outer points near the last window still see their
     local kernel mass.
+
+    Inner nodes (columns) are stably sorted by descending ``wsize``, so
+    every level set is a prefix of that order.  ``inner_values(eps)``
+    adds blocks of ``_HALF_BLOCK`` columns in block order, each on the
+    (height, lateral) product grid: full blocks from a memo of running
+    sums, the partial last block afresh.  Each column is evaluated once
+    per engine, and the bits depend neither on the levels queried
+    before nor on the BLAS thread count.  The memo holds at most
+    ``_HALF_MEMO_BUDGET`` elements; blocks past it are recomputed.
     """
 
     def __init__(self, f, lam, kernel, p, alpha, j_levels, order=6,
-                 lateral_refinement=None, tol=1e-9, q_outer=None, chunk=256):
+                 lateral_refinement=None, tol=1e-9, q_outer=None):
         if f.domain != "halfspace":
             raise DomainError("half-space engine needs a half-space function")
         super().__init__(f, lam, kernel, p, alpha, j_levels, q_outer)
         L = int(self.j_levels.max()) + 1
-        self.chunk = chunk
         if lateral_refinement is None:
             lateral_refinement = L + 2
         rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
                               order=order, lateral_refinement=lateral_refinement)
         self.mesh, self.w_lat = rule.lateral_mesh()
         self.s_nodes, self.s_weights = rule.s_nodes, rule.s_weights
-        self.Y, self.s, self.w = rule.flat()
-        self.wsize = np.abs(f(self.Y, self.s)) * self.s**lam
-        self.w_m = self.w * self.s ** (kernel.m - lam)
+        Y, s, w = rule.flat()
+        self.wsize = np.abs(f(Y, s)) * s**lam
+        cols = np.argsort(-self.wsize, kind="stable")
+        self._Y, self._s = Y[cols], s[cols]
+        self._w = (w * s ** (kernel.m - lam))[cols]
+        # _sums[b]: the sum of the first b full blocks, (height, lateral)
+        self._sums = [np.zeros((self.s_nodes.size, self.mesh.shape[0]))]
+
+    def _block(self, c0, c1):
+        """Contribution of the sorted columns ``c0:c1`` on the (height,
+        lateral) grid: ``u`` depends on (lateral, column) only and
+        ``tau`` on (height, column) only."""
+        diff = self.mesh[:, None, :] - self._Y[None, c0:c1, :]
+        u = np.einsum("lck,lck->lc", diff, diff)
+        tau = self.s_nodes[:, None] + self._s[None, c0:c1]
+        w = self._w[c0:c1]
+        out = np.empty(self._sums[0].shape)
+        step = max(1, _PART_BUDGET // u.size)
+        for h0 in range(0, tau.shape[0], step):
+            vals = q_m_values(u[None, :, :], tau[h0:h0 + step, None, :],
+                              self.f.n, self.kernel.m)
+            out[h0:h0 + step] = np.einsum("hlc,c->hl", np.abs(vals), w)
+        return out
 
     def inner_values(self, eps):
-        mask = self.wsize >= eps
-        inner = np.zeros(self.s.size)
-        if not np.any(mask):
-            return inner
-        Ym, sm, wm = self.Y[mask], self.s[mask], self.w_m[mask]
-        for k0 in range(0, self.s.size, self.chunk):
-            k1 = min(k0 + self.chunk, self.s.size)
-            diff = self.Y[k0:k1, None, :] - Ym[None, :, :]
-            u = np.einsum("ijk,ijk->ij", diff, diff)
-            tau = self.s[k0:k1, None] + sm[None, :]
-            vals = q_m_values(u, tau, self.f.n, self.kernel.m)
-            inner[k0:k1] = np.abs(vals) @ wm
-        return inner
+        count = int(np.count_nonzero(self.wsize >= eps))
+        full = count // _HALF_BLOCK
+        known = min(full, len(self._sums) - 1)
+        acc = self._sums[known]
+        for b in range(known, full):
+            acc = acc + self._block(b * _HALF_BLOCK, (b + 1) * _HALF_BLOCK)
+            if (b + 1 == len(self._sums)
+                    and (b + 2) * acc.size <= _HALF_MEMO_BUDGET):
+                self._sums.append(acc)
+        if count > full * _HALF_BLOCK:
+            acc = acc + self._block(full * _HALF_BLOCK, count)
+        return acc.ravel().copy()
 
     def _truncated(self, eps):
         """Window values with the mixed outer structure.
@@ -574,15 +606,25 @@ def _kernel_part_ball(kernel, rho, dirs, W, tol):
 
 
 def _kernel_part_half(f, kernel, Yq, sq, w_signed):
-    m = kernel.m
+    """Quadrature-backed harmonic function
+    ``sum_i Q_m((y, s), (Yq_i, sq_i)) w_signed_i``, evaluated in chunks
+    of points so that the values block stays within ``_PART_BUDGET``."""
+    per = max(1, _PART_BUDGET // max(sq.size, 1))
 
     def fn(Y, s):
         Y = np.asarray(Y, dtype=float)
         s = np.asarray(s, dtype=float)
-        diff = Y[:, None, :] - Yq[None, :, :]
-        u = np.einsum("ijk,ijk->ij", diff, diff)
-        tau = s[:, None] + sq[None, :]
-        return q_m_values(u, tau, f.n, m) @ w_signed
+        out = np.empty(s.size)
+        for k0 in range(0, s.size, per):
+            diff = Y[k0:k0 + per, None, :] - Yq[None, :, :]
+            u = np.einsum("ijk,ijk->ij", diff, diff)
+            tau = s[k0:k0 + per, None] + sq[None, :]
+            vals = q_m_values(u, tau, f.n, kernel.m)
+            vals *= w_signed
+            # pairwise row sums: thread-independent bits, and closer to
+            # the exact sum than a sequential dot over ~1e4 signed terms
+            out[k0:k0 + per] = vals.sum(axis=1)
+        return out
 
     return fn
 

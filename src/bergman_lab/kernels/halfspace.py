@@ -19,6 +19,29 @@ range.  Derivatives are exact: with ``u = |x|^2``,
 where the integer-coefficient polynomials ``p_j`` obey
 
     p_0 = t,   p_{j+1} = (u + t^2) dp_j/dt - (n + 1 + 2 j) t p_j.
+
+Evaluation form.  ``p_j`` is weighted-homogeneous (``u`` of weight 2,
+``t`` of weight 1): ``p_j = t^par sum_k c_k u^{A-k} t^{2k}``, ``par =
+(j + 1) mod 2``, ``A = (j + 1 - par) / 2``.  With ``r = 1 / (u + t^2)``
+and ``x = t^2 r`` in ``[0, 1]``,
+
+    d^j/dt^j P = c_n t^par r^{(n + j + par)/2} R_j(x),
+    R_j(x) = sum_k c_k (1 - x)^{A - k} x^k,
+
+with the integer ``c_k`` built exactly by the recurrence.  The code
+evaluates ``r^A R_j(x) = sum_k c_k u^{A-k} t^{2k}`` by Horner's rule in
+``(u, t^2)``, never forming ``1 - x``, times ``r^{(n+1)/2 + j}``: an
+integer power (repeated squaring) for odd ``n``, one ``sqrt(r)`` more
+for even ``n``, and no ``pow``.  Values stay in double range for ``u +
+t^2`` between 1e-40 and 1e40 (``n <= 3``, ``m <= 4``).
+
+Error bound.  ``|Q_m| / (u + tau^2)^{-(n+m+1)/2} = |C x^{par/2} R(x)|``,
+``C = c_n 2^{m+1} / m!``, is at most ``B_{n,m}`` (0.61 to 340 for ``n
+<= 3``, ``m <= 4``).  Against
+50-digit values there, with ``u / tau^2`` from 1e-6 to 1e6 and the zeros
+of ``R``, the error is within ``2e-15 B_{n,m}`` envelopes (1.02e-13 for
+``n = 1``): the rounding of ``u + tau^2``, raised to the power ``(n+1)/2
++ j``, alone costs several units in the last place.
 """
 
 from __future__ import annotations
@@ -89,28 +112,63 @@ def _pj_terms(n, j):
     )
 
 
-def _poly_eval(terms, u, t):
-    out = np.zeros(np.broadcast(u, t).shape)
-    for a, b, c in terms:
-        out += c * u**a * t**b
-    return out
+@lru_cache(maxsize=128)
+def _dt_form(n, j):
+    """``(par, power, odd, coefs)`` of the evaluation form
+    ``d^j/dt^j P = c_n t^par r^power [sqrt(r) if odd] sum_k coefs[k]
+    u^{A-k} t^{2k}``, ``A = len(coefs) - 1``."""
+    par = (j + 1) % 2
+    coefs = [0] * ((j + 1 - par) // 2 + 1)
+    for _, b, c in _pj_terms(n, j):
+        coefs[(b - par) // 2] += c
+    power, odd = divmod(n + 1 + 2 * j, 2)
+    return par, power, bool(odd), tuple(coefs)
+
+
+def _dt_values(j, u, t, n, scale):
+    """``scale * d^j/dt^j P`` in the evaluation form; broadcasts ``u``
+    against ``t`` like any ufunc, a scalar for 0-d inputs."""
+    par, power, odd, coefs = _dt_form(n, j)
+    shape = np.broadcast_shapes(np.shape(u), np.shape(t))
+    # at least 1-d, so that every full-size temporary is an array the
+    # in-place steps below may overwrite
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    c = scale * poisson_constant(n)
+    t2 = t * t
+    # Horner's rule in (u, t^2): r^A times this sum is R(x)
+    out = np.full(np.broadcast_shapes(u.shape, t.shape), c * coefs[0])
+    t2k = 1.0
+    for ck in coefs[1:]:
+        t2k = t2k * t2
+        out *= u
+        out += (c * ck) * t2k
+    r = u + t2
+    np.divide(1.0, r, out=r)
+    if odd:
+        out *= np.sqrt(r)
+    while True:  # out * r^power by repeated squaring
+        if power & 1:
+            out *= r
+        power >>= 1
+        if not power:
+            break
+        r *= r
+    if par:
+        out *= t
+    return out.reshape(shape)[()]
 
 
 def dt_poisson_ut(j, u, t, n):
     """Exact ``d^j/dt^j P`` evaluated at ``u = |x|^2``, height ``t``."""
-    u = np.asarray(u, dtype=float)
-    t = np.asarray(t, dtype=float)
-    terms = _pj_terms(n, j)
-    denom_pow = 0.5 * (n + 1) + j
-    return poisson_constant(n) * _poly_eval(terms, u, t) / (u + t * t) ** denom_pow
+    return _dt_values(j, u, t, n, 1.0)
 
 
 def q_m_values(u, tau, n, m):
     """Batched ``Q_m`` as a function of ``u = |x - y|^2``, ``tau = t + s``."""
     if m < 0 or int(m) != m:
         raise DomainError("m must be a nonnegative integer")
-    scale = (-2.0) ** (m + 1) / math.factorial(m)
-    return scale * dt_poisson_ut(m + 1, u, tau, n)
+    return _dt_values(m + 1, u, tau, n, (-2.0) ** (m + 1) / math.factorial(m))
 
 
 def q_m(z: HalfPoint, w: HalfPoint, spec):

@@ -13,15 +13,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bergman_lab import distance
 from bergman_lab.distance import (LevelSetSpec, _make_engine, _sup_points,
                                   _weighted_sup_on, decompose,
                                   equivalence_experiment, in_level_set,
                                   level_mask, s1_upper, s2_inner,
                                   s2_inner_mc)
 from bergman_lab.errors import DivergenceDetected, DomainError
-from bergman_lab.kernels import ball_kernel, halfspace_kernel, q_beta_values
+from bergman_lab.kernels import (ball_kernel, halfspace_kernel, q_beta_values,
+                                 q_m_values)
 from bergman_lab.profiles import classify_truncations
-from bergman_lab.quadrature import ball_grid
+from bergman_lab.quadrature import ball_grid, halfspace_rule
 from bergman_lab.spaces import ainf_norm, default_ball_quad, gallery_fn
 
 INTERIOR = np.array([
@@ -213,6 +215,26 @@ def test_decompose_part_memory_is_bounded():
     assert peak < 8e6
 
 
+def test_halfspace_part_memory_is_bounded():
+    # f1 of a qm_w0 split at the lowest experiment level pairs the 375
+    # sup points with 19,196 nodes; the part evaluates them in chunks
+    # of points within the element budget
+    f = gallery_fn("qm_w0", "halfspace", 1)
+    sup, _ = ainf_norm(f, 1.5, convention="1-r")
+    f1, _ = decompose(f, LevelSetSpec(0.125 * sup, 1.5),
+                      halfspace_kernel(1, 1))
+    Y, s = _sup_points(f)
+    assert s.size == 375
+    tracemalloc.start()
+    try:
+        vals = f1(Y, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak < 20e6
+
+
 def test_halfspace_decompose_reconstructs():
     f = gallery_fn("qm_w0", "halfspace", 1)
     kernel = halfspace_kernel(1, 2)
@@ -298,6 +320,114 @@ def test_equivalence_experiment_halfspace_structure():
     assert entry.profiles[-1].classification == "FINITE"
     assert entry.bracket.upper < math.inf
     assert math.isnan(entry.repro_error)
+
+
+# ---------------------------------------------------------------------------
+# Half-space s2 engine
+
+
+def _half_engine_levels():
+    """qm_w0 at n = 1, p = 2, alpha = 1 (lam = 1.5) and the five levels
+    of the distance experiment."""
+    f = gallery_fn("qm_w0", "halfspace", 1)
+    sup, _ = ainf_norm(f, 1.5, convention="1-r")
+    return f, sup * np.array([0.125, 0.25, 0.5, 0.75, 1.1])
+
+
+def _half_engine(f, m):
+    return _make_engine(f, 1.5, halfspace_kernel(1, m), 2.0, 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_half_engine_bits_ignore_query_order(m):
+    f, levels = _half_engine_levels()
+    runs = []
+    for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+        engine = _half_engine(f, m)
+        runs.append({k: engine.truncated_values(levels[k]) for k in order})
+    for run in runs[1:]:
+        assert all(np.array_equal(run[k], runs[0][k]) for k in range(5))
+
+
+def _half_inner_reference(f, eps, m, rows=512):
+    """Inner integral at every grid node as a per-level masked sum over
+    all (row, masked column) pairs, built from the rule itself."""
+    rule = halfspace_rule(1, R_xy=2.0**8, s_min=2.0**-8, s_max=2.0**8,
+                          order=6, lateral_refinement=10)
+    Y, s, w = rule.flat()
+    mask = np.abs(f(Y, s)) * s**1.5 >= eps
+    yc, sc = Y[mask, 0], s[mask]
+    wc = (w * s ** (m - 1.5))[mask]
+    out = np.zeros(s.size)
+    for k0 in range(0, s.size, rows):
+        u = (Y[k0:k0 + rows, :1] - yc[None, :]) ** 2
+        tau = s[k0:k0 + rows, None] + sc[None, :]
+        out[k0:k0 + rows] = np.sum(np.abs(q_m_values(u, tau, 1, m)) * wc,
+                                   axis=1)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_half_engine_matches_masked_reference(m):
+    f, levels = _half_engine_levels()
+    engine = _half_engine(f, m)
+    for eps in levels:
+        got = engine.inner_values(eps)
+        ref = _half_inner_reference(f, eps, m)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    assert not np.any(got)  # the top level lies above the sup
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_half_engine_values_nonincreasing_in_eps(m):
+    f, levels = _half_engine_levels()
+    engine = _half_engine(f, m)
+    # between the experiment's levels too, so that the level sets end
+    # inside blocks as well as on their edges
+    grid = np.sort(np.concatenate([levels, np.geomspace(levels[0],
+                                                        levels[-1], 9)]))
+    vals = [engine.truncated_values(eps) for eps in grid]
+    for a, b in zip(vals[:-1], vals[1:]):
+        assert np.all(b <= a)
+
+
+_HALF_ENGINE_DIGEST = """
+import hashlib, numpy as np
+from bergman_lab.distance import _make_engine
+from bergman_lab.kernels import halfspace_kernel
+from bergman_lab.spaces import ainf_norm, gallery_fn
+f = gallery_fn("qm_w0", "halfspace", 1)
+sup, _ = ainf_norm(f, 1.5, convention="1-r")
+h = hashlib.sha256()
+for m in (1, 2):
+    engine = _make_engine(f, 1.5, halfspace_kernel(1, m), 2.0, 1.0)
+    for eps in sup * np.array([0.125, 0.25, 0.5, 0.75, 1.1]):
+        h.update(engine.truncated_values(eps).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_half_engine_bits_ignore_blas_threads(outputs_under_blas_threads):
+    digests = outputs_under_blas_threads(_HALF_ENGINE_DIGEST)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+def test_half_engine_memo_stays_in_budget(monkeypatch):
+    f, levels = _half_engine_levels()
+    engine = _half_engine(f, 1)
+    want = [engine.inner_values(eps) for eps in levels]
+    assert (sum(a.size for a in engine._sums)
+            <= distance._HALF_MEMO_BUDGET)
+    # a budget of five block sums: later blocks are recomputed on each
+    # query, with the same bits
+    budget = 5 * engine.wsize.size
+    monkeypatch.setattr(distance, "_HALF_MEMO_BUDGET", budget)
+    small = _half_engine(f, 1)
+    for eps, ref in zip(levels, want):
+        assert np.array_equal(small.inner_values(eps), ref)
+        assert sum(a.size for a in small._sums) <= budget
+    assert len(small._sums) == 5
 
 
 def test_equivalence_experiment_notes_uncertified_kernel_tail():

@@ -23,6 +23,7 @@ from bergman_lab.kernels.ball import (
     q_beta_values,
 )
 from bergman_lab.kernels.halfspace import (
+    dt_poisson_ut,
     poisson_constant,
     q_m_bound_values,
     q_m_values,
@@ -312,6 +313,74 @@ def test_q_0_aligned_spot_value():
     # n = 1, coincident lateral points: Q_0 (s+t)^2 = 2/pi exactly
     val = q_m_values(np.array([0.0]), np.array([1.3]), 1, 0)[0]
     assert abs(val * 1.3**2 - 2.0 / math.pi) < 1e-14
+
+
+def _q_m_mp(u, tau, n, m):
+    """Q_m at 50 digits: mpmath's derivative of the closed-form Poisson
+    kernel, independent of the p_j recurrence."""
+    with mpmath.workdps(50):
+        u, tau = mpmath.mpf(u), mpmath.mpf(tau)
+        h = mpmath.mpf(n + 1) / 2
+        c = mpmath.gamma(h) / mpmath.pi**h
+        d = mpmath.diff(lambda t: c * t / (u + t * t) ** h, tau, m + 1)
+        return (-2) ** (m + 1) / mpmath.factorial(m) * d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def test_q_m_matches_mpmath(n, m):
+    # u / tau^2 from 1e-6 to 1e6 at three heights, plus the zeros of
+    # R (sign changes of Q_m in u / tau^2, located at 50 digits)
+    ratios = list(np.geomspace(1e-6, 1e6, 49))
+    ref_1 = [_q_m_mp(q, 1.0, n, m) for q in ratios]
+    for k in range(len(ratios) - 1):
+        if ref_1[k] * ref_1[k + 1] < 0:
+            with mpmath.workdps(50):
+                ratios.append(float(mpmath.findroot(
+                    lambda q: _q_m_mp(q, 1.0, n, m),
+                    (ratios[k], ratios[k + 1]), solver="anderson")))
+    # R has degree (m + 2) // 2, all of its zeros inside the sample
+    # range (at u / tau^2 = 1 for n = 1, m = 0 and n = 3, m = 1, which
+    # is a sample point)
+    zeros = len(ratios) - 49 + sum(v == 0 for v in ref_1)
+    assert zeros == (m + 2) // 2
+    tau = np.repeat([0.37, 1.0, 2.9], len(ratios))
+    u = np.tile(ratios, 3) * tau * tau
+    ref = np.array([float(_q_m_mp(a, b, n, m)) for a, b in zip(u, tau)])
+    env = q_m_bound_values(u, tau, n, m)
+    err = np.abs(q_m_values(u, tau, n, m) - ref) / env
+    # |Q_m| reaches size * envelope (0.61 to 340 over these n, m), so
+    # the bound is a relative error of 2e-15 at the kernel's own scale;
+    # for n = 1 it is within 1.02e-13 of the envelope
+    size = np.max(np.abs(ref) / env)
+    assert np.all(err <= 2e-15 * size)
+    if n == 1:
+        assert np.all(err <= 1.02e-13)
+
+
+def test_q_m_values_scalar_and_broadcast_inputs():
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.0, 4.0, (1, 5, 3))
+    tau = rng.uniform(0.1, 2.0, (4, 1, 3))
+    u_in, tau_in = u.copy(), tau.copy()
+    U, T = (a.ravel() for a in np.broadcast_arrays(u, tau))
+    for n in (1, 2, 3):
+        for m in (0, 1, 2, 3):
+            flat = q_m_values(U, T, n, m)
+            grid = q_m_values(u, tau, n, m)
+            assert grid.shape == (4, 5, 3)
+            assert np.array_equal(grid.ravel(), flat)
+            for k in (0, 7, 59):
+                for a, b in ((float(U[k]), float(T[k])),
+                             (np.array(U[k]), np.array(T[k]))):
+                    val = q_m_values(a, b, n, m)
+                    assert np.ndim(val) == 0 and val == flat[k]
+            assert np.array_equal(
+                dt_poisson_ut(m, u, tau, n).ravel(),
+                dt_poisson_ut(m, U, T, n))
+    # inputs are never overwritten
+    assert np.array_equal(u, u_in) and np.array_equal(tau, tau_in)
+    assert abs(q_m_values(0.0, 1.0, 1, 0) - 2.0 / math.pi) < 1e-15
 
 
 def test_q_m_bound_envelope_scaling():
