@@ -1,9 +1,8 @@
 """Benchmark the kernel layer.
 
-1. The series inner loop, compiled extension vs NumPy fallback: times
-   ``q_beta_values`` on a boundary-heavy point cloud (where the series
-   is longest) for each available backend, checks the two agree
-   bitwise, and prints one line per backend plus the speedup.
+1. The per-node series loop: times ``q_beta_values`` on a
+   boundary-heavy point cloud (where the series is longest) and prints
+   the time and the largest certified tail it returns.
 2. A radius x cosine product of the shape one reproduction check of
    criterion 01 evaluates (n = 3, ``default_ball_quad(3)``, |x| = 0.73):
    times ``q_beta_grid`` against ``q_beta_values`` on the same nodes and
@@ -37,8 +36,6 @@ from bergman_lab.distance import (LevelSetSpec, _make_engine, _sup_points,
                                   decompose)
 from bergman_lab.kernels import (ball_kernel, halfspace_kernel, q_beta_grid,
                                  q_beta_values, q_m_values)
-from bergman_lab.kernels._dispatch import (HAVE_COMPILED, backend_name,
-                                           set_backend)
 from bergman_lab.quadrature import ball_grid, halfspace_rule
 from bergman_lab.spaces import ainf_norm, default_ball_quad, gallery_fn
 
@@ -61,10 +58,13 @@ def best_of(repeats, fn):
     return best, out
 
 
-def bench(spec, q, t, repeats):
-    best, (vals, tail) = best_of(
+def bench_series(points, repeats):
+    spec = ball_kernel(3, 2.0)
+    q, t = make_cloud(points)
+    best, (_, tail) = best_of(
         repeats, lambda: q_beta_values(spec, q, t, tol=1e-12))
-    return best, vals, tail
+    print(f"series    {1e3 * best:9.2f} ms   ({points} points, best of "
+          f"{repeats}), max tail {tail:.3g}")
 
 
 def bench_product(repeats, r=0.73):
@@ -196,32 +196,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    spec = ball_kernel(3, 2.0)
-    q, t = make_cloud(args.points)
-    original = backend_name()
-    results = {}
-    try:
-        for name in (["python", "compiled"] if HAVE_COMPILED
-                     else ["python"]):
-            set_backend(name)
-            results[name] = bench(spec, q, t, args.repeats)
-            secs = results[name][0]
-            print(f"{name:9s} {1e3 * secs:9.2f} ms   "
-                  f"({args.points} points, best of {args.repeats})")
-    finally:
-        set_backend(original)
-
-    if "compiled" in results:
-        py_t, py_v, py_tail = results["python"]
-        cy_t, cy_v, cy_tail = results["compiled"]
-        same = np.array_equal(py_v, cy_v) and py_tail == cy_tail
-        print(f"speedup   {py_t / cy_t:9.1f} x   "
-              f"bitwise identical: {same}")
-        if not same:
-            raise SystemExit("backend outputs differ")
-    else:
-        print("compiled extension not built; python fallback only")
-
+    bench_series(args.points, args.repeats)
     bench_product(args.repeats)
     bench_decomposition(args.repeats)
     bench_half_engine(args.repeats)

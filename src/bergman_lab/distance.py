@@ -377,7 +377,7 @@ class _HalfGridEngine(_S2Engine):
     """
 
     def __init__(self, f, lam, kernel, p, alpha, j_levels, order=6,
-                 lateral_refinement=None, tol=1e-9, q_outer=None):
+                 lateral_refinement=None, q_outer=None):
         if f.domain != "halfspace":
             raise DomainError("half-space engine needs a half-space function")
         super().__init__(f, lam, kernel, p, alpha, j_levels, q_outer)

@@ -1,12 +1,8 @@
 """Kernel evaluations for the ball and the half-space."""
 
-from ._dispatch import HAVE_COMPILED, backend_name, get_backend, set_backend
 from .ball import (
     K_CAP,
-    NEAR_BOUNDARY_Q,
     KernelSpec,
-    SeriesTruncation,
-    SeriesValue,
     ball_kernel,
     halfspace_kernel,
     poisson_ball,
@@ -15,10 +11,8 @@ from .ball import (
     q_beta_bound,
     q_beta_bound_qt,
     q_beta_grid,
-    q_beta_series,
     q_beta_values,
     qbeta_pick_k,
-    qbeta_tail_bound,
 )
 from .halfspace import (
     dt_poisson_ut,
@@ -33,15 +27,8 @@ from .halfspace import (
 from .zonal import ZonalTable, zonal, zonal_sequence, zonal_table
 
 __all__ = [
-    "HAVE_COMPILED",
-    "backend_name",
-    "get_backend",
-    "set_backend",
     "K_CAP",
-    "NEAR_BOUNDARY_Q",
     "KernelSpec",
-    "SeriesTruncation",
-    "SeriesValue",
     "ball_kernel",
     "halfspace_kernel",
     "poisson_ball",
@@ -50,10 +37,8 @@ __all__ = [
     "q_beta_bound",
     "q_beta_bound_qt",
     "q_beta_grid",
-    "q_beta_series",
     "q_beta_values",
     "qbeta_pick_k",
-    "qbeta_tail_bound",
     "dt_poisson_ut",
     "poisson_constant",
     "poisson_halfspace",

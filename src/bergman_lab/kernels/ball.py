@@ -18,7 +18,9 @@ Normalizations follow the normalized surface and volume measures of
 Series are summed with a certified geometric tail bound: coefficient
 majorants ``2 c_k d_k`` have eventually decreasing consecutive ratios,
 so the remainder after ``k`` terms is dominated by a geometric series
-started at the next term.
+started at the next term.  The two summations, node by node
+(:func:`q_beta_values`, one NumPy loop) and on radius x cosine products
+(:func:`q_beta_grid`), stop on that one bound, :func:`_tail`.
 """
 
 from __future__ import annotations
@@ -31,38 +33,31 @@ import numpy as np
 
 from ..errors import DivergentSeriesError, DomainError
 from ..geometry import BallPoint
-from . import _dispatch
 from .zonal import zonal_table
 
 __all__ = [
     "KernelSpec",
     "ball_kernel",
     "halfspace_kernel",
-    "SeriesTruncation",
-    "SeriesValue",
     "poisson_ball",
     "poisson_ball_rt",
     "poisson_partial_sums",
-    "q_beta_series",
     "q_beta_values",
     "q_beta_grid",
     "q_beta_bound",
     "q_beta_bound_qt",
-    "qbeta_tail_bound",
     "qbeta_pick_k",
 ]
 
 #: series degrees are capped here even for near-boundary evaluations
 K_CAP = 16384
 
-#: hard refusal threshold for r * rho without an explicit override
-NEAR_BOUNDARY_Q = 0.999
-
 #: element budget of each temporary in one block of ``q_beta_grid``
 _GRID_BUDGET = 1 << 15
 
-#: most degrees in one block of ``q_beta_grid``; a row that stops inside
-#: a block still pays for the rest of it
+#: most degrees in one block of ``q_beta_grid``, and the degree stride at
+#: which ``q_beta_values`` tests its nodes; a row that stops inside a
+#: block still pays for the rest of it
 _GRID_BLOCK = 64
 
 
@@ -100,30 +95,6 @@ def ball_kernel(n, beta):
 
 def halfspace_kernel(n, m):
     return KernelSpec("halfspace", int(n), None, int(m))
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Truncation policy for kernel series.
-
-    ``k_max`` caps the degree; ``allow_near_boundary`` overrides the
-    refusal for ``r * rho`` beyond ``NEAR_BOUNDARY_Q``.
-    """
-
-    k_max: int = 512
-    allow_near_boundary: bool = False
-
-    def __post_init__(self):
-        if self.k_max < 0 or self.k_max > K_CAP:
-            raise DomainError(f"k_max must be in 0..{K_CAP}")
-
-
-@dataclass(frozen=True)
-class SeriesValue:
-    """A partial sum together with its certified tail bound."""
-
-    value: float
-    tail_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +152,6 @@ class _SeriesTables:
     c2: np.ndarray
 
 
-def _finish_tables(a, bound, table):
-    ratio = bound[1:] / bound[:-1]
-    rs = np.empty_like(bound)
-    rs[:-1] = np.maximum.accumulate(ratio[::-1])[::-1]
-    # beyond the table the ratios keep decreasing toward 1; the max of
-    # the last computed decade is a valid cap (asserted in tests)
-    rs[-1] = ratio[-min(10, ratio.size):].max()
-    return _SeriesTables(a, bound, rs, bound * rs, table.g1_coef,
-                         table.c1, table.c2)
-
-
 @lru_cache(maxsize=64)
 def _qbeta_tables(n, beta, k_max):
     table = zonal_table(n, k_max)
@@ -206,25 +166,27 @@ def _qbeta_tables(n, beta, k_max):
         c[k + 1] = c[k] * (beta + 1.0 + k + half_n) / (k + half_n)
     a = 2.0 * c * table.zfac
     bound = 2.0 * c * table.d
-    return _finish_tables(a, bound, table)
+    ratio = bound[1:] / bound[:-1]
+    rs = np.empty_like(bound)
+    rs[:-1] = np.maximum.accumulate(ratio[::-1])[::-1]
+    # beyond the table the ratios keep decreasing toward 1; the max of
+    # the last computed decade is a valid cap (asserted in tests)
+    rs[-1] = ratio[-min(10, ratio.size):].max()
+    return _SeriesTables(a, bound, rs, bound * rs, table.g1_coef,
+                         table.c1, table.c2)
 
 
-@lru_cache(maxsize=16)
-def _poisson_tables(n, k_max):
-    table = zonal_table(n, k_max)
-    a = table.zfac.copy()
-    bound = table.d.copy()
-    return _finish_tables(a, bound, table)
+def _tail(tabs, q, qk, k):
+    """Certified bound on the remainder after degree ``k`` at ``q``.
 
-
-def qbeta_tail_bound(n, beta, q, k):
-    """Certified bound on ``|sum_{j>k} 2 c_j q^j Z_j(t)|`` for any ``t``."""
-    tabs = _qbeta_tables(n, float(beta), K_CAP)
-    k = min(int(k), K_CAP)
+    ``qk`` is ``q^k``; ``k`` indexes the tables (an int or a slice).
+    The remainder is dominated by ``brs[k] q^(k+1) / (1 - q rs[k])``,
+    infinite when ``q rs[k] >= 1``.
+    """
     rho = q * tabs.rs[k]
-    if rho >= 1.0:
-        return math.inf
-    return float(tabs.bound[k] * q**k * rho / (1.0 - rho))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rho < 1.0, (tabs.brs[k] * qk) * q / (1.0 - rho),
+                        np.inf)
 
 
 def qbeta_pick_k(n, beta, q_max, tol):
@@ -244,36 +206,63 @@ def qbeta_pick_k(n, beta, q_max, tol):
     return int(hits[0]) if hits.size else K_CAP
 
 
-def _series_qt(tabs, q, t, k_max, tol):
+def _series_values(tabs, q, t, tol):
+    """The loop behind :func:`q_beta_values`, on validated arrays."""
+    out = np.empty(q.size)
+    idx = np.arange(q.size)
+    qk, g_prev, g_cur = np.ones(q.size), np.zeros(q.size), np.ones(q.size)
+    acc, tmp = np.full(q.size, tabs.a[0]), np.empty(q.size)
+    max_tail = 0.0
+    for k in range(K_CAP + 1):
+        if k:
+            # in place, G_k = (c1[k] t) G_{k-1} - c2[k] G_{k-2}, where
+            # G_1 = g1_coef t is the recurrence with c2[1] = 0
+            np.multiply(t, tabs.g1_coef if k == 1 else tabs.c1[k], out=tmp)
+            tmp *= g_cur
+            g_prev *= tabs.c2[k]
+            np.subtract(tmp, g_prev, out=g_prev)
+            g_prev, g_cur = g_cur, g_prev
+            qk *= q
+            np.multiply(qk, tabs.a[k], out=tmp)
+            tmp *= g_cur
+            acc += tmp
+        if k % _GRID_BLOCK:
+            continue
+        tail = _tail(tabs, q, qk, k)
+        done = (tail <= tol) | (k == K_CAP)
+        if done.any():
+            out[idx[done]] = acc[done]
+            max_tail = max(max_tail, float(tail[done].max()))
+            keep = ~done
+            idx, q, t, qk, acc, tmp, g_prev, g_cur = (
+                v[keep] for v in (idx, q, t, qk, acc, tmp, g_prev, g_cur))
+        if not idx.size:
+            break
+    return out, max_tail
+
+
+def q_beta_values(spec, q, t, tol=1e-12):
+    """Batched ``Q_beta`` on arrays ``q = r * rho``, ``t = <x', y'>``.
+
+    Returns ``(values, max_tail)``.  Every node is tested at degree 0
+    and then every ``_GRID_BLOCK`` degrees with the tail bound of
+    :func:`q_beta_grid` (:func:`_tail`): a node whose tail is at most
+    ``tol`` is written out and dropped, the rest stop at ``K_CAP``.  The
+    bound does not grow with the degree, so a node summed past its first
+    passing degree stays certified, and its bits depend on no other
+    node.  ``max_tail`` is the largest tail of the nodes where they
+    stopped.  Nodes that form a radius x cosine product are cheaper
+    through :func:`q_beta_grid`.
+    """
+    if spec.domain != "ball":
+        raise DomainError("q_beta_values needs a ball kernel spec")
+    if tol <= 0.0:
+        raise DomainError("q_beta_values needs tol > 0")
     q = np.ascontiguousarray(q, dtype=float)
     t = np.clip(np.ascontiguousarray(t, dtype=float), -1.0, 1.0)
     if np.any(q < 0.0) or np.any(q >= 1.0):
         raise DivergentSeriesError("series needs 0 <= r * rho < 1")
-    hi = k_max + 1
-    return _dispatch.series_sum(
-        tabs.a[:hi], tabs.c1[:hi], tabs.c2[:hi], tabs.rs[:hi], tabs.brs[:hi],
-        tabs.g1_coef, q, t, tol,
-    )
-
-
-def q_beta_values(spec, q, t, tol=1e-12, k_max=None):
-    """Batched ``Q_beta`` on arrays ``q = r * rho``, ``t = <x', y'>``.
-
-    Returns ``(values, max_tail)`` where ``max_tail`` certifies the
-    worst truncation error over the batch.  Degrees are chosen from the
-    tail bound at ``max(q)`` and capped at ``K_CAP``.  Nodes that form a
-    radius x cosine product are cheaper through :func:`q_beta_grid`.
-    """
-    if spec.domain != "ball":
-        raise DomainError("q_beta_values needs a ball kernel spec")
-    q = np.ascontiguousarray(q, dtype=float)
-    t = np.ascontiguousarray(t, dtype=float)
-    q_max = float(q.max()) if q.size else 0.0
-    if k_max is None:
-        k_max = qbeta_pick_k(spec.n, spec.beta, q_max, tol)
-    tabs = _qbeta_tables(spec.n, spec.beta, K_CAP)
-    values = _series_qt(tabs, q, t, k_max, tol)
-    return values, qbeta_tail_bound(spec.n, spec.beta, q_max, k_max)
+    return _series_values(_qbeta_tables(spec.n, spec.beta, K_CAP), q, t, tol)
 
 
 def q_beta_grid(spec, q, t, tol=1e-12):
@@ -281,9 +270,9 @@ def q_beta_grid(spec, q, t, tol=1e-12):
 
     Returns ``(values, tails)`` with ``values[i, j] = Q_beta(q[i], t[j])``
     and ``tails[i]`` the certified tail bound of row ``i``.  Row ``i``
-    stops at the first degree whose geometric tail bound is at most
-    ``tol`` (the test that stops a node in :func:`q_beta_values`), or at
-    ``K_CAP``, where its tail may exceed ``tol``.
+    stops at the first degree whose geometric tail bound (:func:`_tail`,
+    as in :func:`q_beta_values`) is at most ``tol``, or at ``K_CAP``,
+    where its tail may exceed ``tol``.
 
     The zonal recurrence runs once over ``t``.  Degrees are walked in
     blocks that carry the recurrence's last two rows, and each block of
@@ -333,11 +322,7 @@ def q_beta_grid(spec, q, t, tol=1e-12):
             steps = np.repeat(qr, k1 - k0, axis=1)
             steps[:, 0] = qk[rows]
             pw = np.multiply.accumulate(steps, axis=1)
-            rho = qr * tabs.rs[k0:k1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tail = np.where(rho < 1.0,
-                                (tabs.brs[k0:k1] * pw) * qr / (1.0 - rho),
-                                np.inf)
+            tail = _tail(tabs, qr, pw, slice(k0, k1))
             stop = tail <= tol
             if k1 == K_CAP + 1:
                 stop[:, -1] = True
@@ -351,32 +336,6 @@ def q_beta_grid(spec, q, t, tol=1e-12):
             running.append(rows[~hit])
         live = np.concatenate(running)
     return values, tails
-
-
-def q_beta_series(x: BallPoint, y: BallPoint, spec, trunc=None):
-    """``Q_beta(x, y)`` as a partial sum with a certified tail bound.
-
-    Refuses evaluation for ``r * rho`` beyond ``NEAR_BOUNDARY_Q`` unless
-    the truncation policy explicitly allows it, since the geometric
-    tail then needs degrees beyond any reasonable cap.
-    """
-    if trunc is None:
-        trunc = SeriesTruncation()
-    if spec.domain != "ball" or x.n != spec.n or y.n != spec.n:
-        raise DomainError("kernel spec / point dimension mismatch")
-    q = x.r * y.r
-    if q >= 1.0:
-        raise DivergentSeriesError("q_beta series diverges for r * rho >= 1")
-    if q > NEAR_BOUNDARY_Q and not trunc.allow_near_boundary:
-        raise DivergentSeriesError(
-            f"r * rho = {q:.6f} > {NEAR_BOUNDARY_Q}; pass a truncation with "
-            "allow_near_boundary=True to force evaluation"
-        )
-    t = float(np.dot(x.direction, y.direction))
-    tabs = _qbeta_tables(spec.n, spec.beta, K_CAP)
-    value = _series_qt(tabs, np.array([q]), np.array([t]), trunc.k_max, 0.0)
-    tail = qbeta_tail_bound(spec.n, spec.beta, q, trunc.k_max)
-    return SeriesValue(float(value[0]), tail)
 
 
 def q_beta_bound_qt(q, t, n, beta):

@@ -430,6 +430,15 @@ def test_half_engine_memo_stays_in_budget(monkeypatch):
     assert len(small._sums) == 5
 
 
+def test_half_engine_takes_no_tol():
+    # the half-space kernels are exact polynomials: there is no series
+    # tail, so a kernel tol is refused rather than ignored
+    f = gallery_fn("qm_w0", "halfspace", 1)
+    with pytest.raises(TypeError, match="tol"):
+        equivalence_experiment(f, 2.0, 1.0, [1], skip_decomposition=True,
+                               engine_opts={"tol": 1e-9})
+
+
 def test_equivalence_experiment_notes_uncertified_kernel_tail():
     # levels up to 10 put zonal table rows at q ~ 0.999, where the
     # degree stops at K_CAP with a tail far above tol; the note flags it

@@ -1,4 +1,10 @@
-"""Kernel series and closed forms: spot values, oracles, backends."""
+"""Kernel series and closed forms: spot values and oracles.
+
+The ball kernel is summed node by node (``q_beta_values``) and on radius
+x cosine products (``q_beta_grid``); both are checked against 50-digit
+mpmath and against each other, and the per-node loop's bits against
+the batch it runs in.
+"""
 
 import math
 import tracemalloc
@@ -10,7 +16,6 @@ import pytest
 from bergman_lab.errors import DivergentSeriesError, DomainError
 from bergman_lab.kernels import (
     K_CAP,
-    _dispatch,
     ball_kernel,
     halfspace_kernel,
     q_beta_grid,
@@ -108,6 +113,45 @@ def test_q_beta_tail_bound_is_honest():
     assert np.all(np.abs(loose - tight) <= tail_loose + 1e-12)
 
 
+def test_q_beta_values_nodes_are_independent():
+    # a node is summed to its own stopping degree, so its bits do not
+    # depend on the batch it arrives in
+    rng = np.random.default_rng(8)
+    spec = ball_kernel(3, 1.5)
+    q = np.concatenate([rng.uniform(0.0, 0.999, 400), [0.0, 0.999]])
+    t = rng.uniform(-1.0, 1.0, q.size)
+    vals, _ = q_beta_values(spec, q, t)
+    sub = rng.permutation(q.size)[:60]
+    got, _ = q_beta_values(spec, q[sub], t[sub])
+    assert np.array_equal(got, vals[sub])
+
+
+def test_q_beta_values_max_tail():
+    spec = ball_kernel(3, 2.0)
+    q = np.array([0.3, 0.9995, 0.0, 0.99, 0.7])
+    t = np.linspace(-1.0, 1.0, q.size)
+    _, tail = q_beta_values(spec, q, t)
+    # the node at 0.9995 stops at K_CAP with its tail above tol
+    assert qbeta_pick_k(3, 2.0, 0.9995, 1e-12) == K_CAP
+    _, kcap_tail = q_beta_grid(spec, q[1:2], t[1:2])
+    assert tail > 1e-12 and tail == kcap_tail[0]
+    _, tail = q_beta_values(spec, np.delete(q, 1), np.delete(t, 1))
+    assert 0.0 < tail <= 1e-12
+
+
+def test_q_beta_values_empty_and_refusals():
+    spec = ball_kernel(3, 2.0)
+    vals, tail = q_beta_values(spec, np.array([]), np.array([]))
+    assert vals.shape == (0,) and tail == 0.0
+    with pytest.raises(DivergentSeriesError):
+        q_beta_values(spec, np.array([0.5, 1.0]), np.array([0.0, 0.0]))
+    with pytest.raises(DomainError, match="tol"):
+        q_beta_values(spec, np.array([0.5]), np.array([0.0]), tol=0.0)
+    with pytest.raises(DomainError, match="ball kernel"):
+        q_beta_values(halfspace_kernel(1, 0), np.array([0.5]),
+                      np.array([0.0]))
+
+
 def test_q_beta_bound_envelope_positive():
     q = np.linspace(0.0, 0.99, 40)
     t = np.linspace(-1.0, 1.0, 40)
@@ -154,7 +198,7 @@ def _q_beta_mpmath(n, beta, q, t):
                 z = (2 * k + n - 2) / mpmath.mpf(n - 2) * g_cur
             total += 2 * c * q**k * z
             # |term| <= 2 c_k q^k Z_k(1) <= c_k q^k (k + 2)^(n + 1); at
-            # q <= 0.95 the rest sums to under 1e-40 of the total
+            # q <= 0.97 the rest sums to under 1e-40 of the total
             if k > 20 and c * q**k * (k + 2) ** (n + 1) < 1e-45 * abs(total):
                 return float(total)
             k += 1
@@ -175,14 +219,18 @@ def _q_beta_mpmath(n, beta, q, t):
     (3, 1.0, 0.95, 1.0),
     (5, 4.0, 0.8, 0.6),
     (5, 0.0, 0.7, -1.0),
+    (3, 1.5, 0.97, 0.2),
 ])
 def test_q_beta_grid_against_mpmath(n, beta, q, t):
     got, tails = q_beta_grid(ball_kernel(n, beta), np.array([q]),
                              np.array([t]), tol=1e-13)
+    node, tail = q_beta_values(ball_kernel(n, beta), np.array([q]),
+                               np.array([t]), tol=1e-13)
     want = _q_beta_mpmath(n, beta, q, t)
     scale = _q_beta_mpmath(n, beta, q, 1.0)
     assert abs(got[0, 0] - want) <= 1e-12 * scale
-    assert tails[0] <= 1e-13
+    assert abs(node[0] - want) <= 1e-12 * scale
+    assert tails[0] <= 1e-13 and tail <= 1e-13
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
@@ -396,30 +444,3 @@ def test_halfspace_kernel_validation():
         halfspace_kernel(0, 1)
     with pytest.raises(DomainError):
         halfspace_kernel(1, -1)
-
-
-# ---------------------------------------------------------------------------
-# Backends
-
-
-@pytest.mark.skipif(not _dispatch.HAVE_COMPILED,
-                    reason="compiled backend not built")
-def test_backends_bit_identical():
-    spec = ball_kernel(3, 2.0)
-    rng = np.random.default_rng(11)
-    q = rng.uniform(0.0, 0.999, 2000)
-    t = rng.uniform(-1.0, 1.0, 2000)
-    previous = _dispatch.backend_name()
-    try:
-        _dispatch.set_backend("compiled")
-        vc, tc = q_beta_values(spec, q, t, tol=1e-13)
-        _dispatch.set_backend("python")
-        vp, tp = q_beta_values(spec, q, t, tol=1e-13)
-    finally:
-        _dispatch.set_backend(previous)
-    assert np.array_equal(vc, vp)
-    assert tc == tp
-
-
-def test_backend_name_is_known():
-    assert _dispatch.backend_name() in ("python", "compiled")
