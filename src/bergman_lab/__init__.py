@@ -12,7 +12,6 @@ from .errors import (
     DivergentSeriesError,
     DomainError,
     EvaluationError,
-    HypothesisViolation,
     UnboundedNormError,
 )
 from .geometry import BallPoint, HalfPoint
@@ -31,7 +30,6 @@ __all__ = [
     "DivergentSeriesError",
     "DomainError",
     "EvaluationError",
-    "HypothesisViolation",
     "UnboundedNormError",
     "BallPoint",
     "HalfPoint",

@@ -57,7 +57,15 @@ from .quadrature import (
     sphere_rule,
     zonal_rule,
 )
-from .spaces import HarmonicFn, ainf_norm, mixed_norm, BallQuad
+from .spaces import (
+    _PART_BUDGET,
+    BallQuad,
+    HarmonicFn,
+    ReproducingSum,
+    ainf_norm,
+    default_ball_quad,
+    mixed_norm,
+)
 
 __all__ = [
     "LevelSetSpec",
@@ -74,10 +82,6 @@ __all__ = [
     "DivergenceProfile",
     "S2Bracket",
 ]
-
-#: element budget of the kernel values block behind one ``q_beta_grid``
-#: or ``q_m_values`` call of a decomposition part or a half-space engine
-_PART_BUDGET = 1 << 18
 
 #: columns per block of the half-space s2 engine, and the element
 #: budget of its memo of block sums
@@ -570,116 +574,37 @@ def s2_profile(f, spec, kernel, p, alpha, j_levels=None, method="auto",
 # Constructive decomposition
 
 
-def _kernel_part_ball(kernel, rho, dirs, W, tol):
-    """Quadrature-backed harmonic function
-    ``sum_{i,j} Q_beta(x, rho_i d_j) W[i, j]`` on the product grid.
-
-    A point at radius ``r`` meets the rows ``r * rho_i`` and the cosines
-    ``<x', d_j>``, so points of one radius share one kernel grid; rows
-    whose weights are all zero are dropped.
-    """
-    live = np.any(W != 0.0, axis=1)
-    rho, W = rho[live], W[live]
-    # points per kernel grid, so that the values block stays in budget
-    per = max(1, _PART_BUDGET // max(rho.size * dirs.shape[0], 1))
-
-    def fn(X):
-        X = np.asarray(X, dtype=float)
-        r = np.linalg.norm(X, axis=1)
-        xd = np.where(r[:, None] > 0, X / np.maximum(r, 1e-300)[:, None], 0.0)
-        xd[r == 0, 0] = 1.0
-        out = np.zeros(X.shape[0])
-        if rho.size == 0:
-            return out
-        radii, group = np.unique(r, return_inverse=True)
-        for g, rg in enumerate(radii):
-            pts = np.flatnonzero(group == g)
-            for k0 in range(0, pts.size, per):
-                idx = pts[k0:k0 + per]
-                t = np.einsum("pk,jk->pj", xd[idx], dirs)
-                vals, _ = q_beta_grid(kernel, rg * rho, t.ravel(), tol)
-                out[idx] = np.einsum("ipj,ij->p",
-                                     vals.reshape(rho.size, idx.size, -1), W)
-        return out
-
-    return fn
-
-
-def _kernel_part_half(f, kernel, Yq, sq, w_signed):
-    """Quadrature-backed harmonic function
-    ``sum_i Q_m((y, s), (Yq_i, sq_i)) w_signed_i``, evaluated in chunks
-    of points so that the values block stays within ``_PART_BUDGET``."""
-    per = max(1, _PART_BUDGET // max(sq.size, 1))
-
-    def fn(Y, s):
-        Y = np.asarray(Y, dtype=float)
-        s = np.asarray(s, dtype=float)
-        out = np.empty(s.size)
-        for k0 in range(0, s.size, per):
-            diff = Y[k0:k0 + per, None, :] - Yq[None, :, :]
-            u = np.einsum("ijk,ijk->ij", diff, diff)
-            tau = s[k0:k0 + per, None] + sq[None, :]
-            vals = q_m_values(u, tau, f.n, kernel.m)
-            vals *= w_signed
-            # pairwise row sums: thread-independent bits, and closer to
-            # the exact sum than a sequential dot over ~1e4 signed terms
-            out[k0:k0 + per] = vals.sum(axis=1)
-        return out
-
-    return fn
-
-
 def decompose(f, spec, kernel, quad=None, tol=1e-11):
     """Split ``f = f1 + f2`` through the reproducing integral.
 
     ``f2`` carries the part of the integral over the level set, ``f1``
-    the rest; both are quadrature-backed harmonic functions.  Requires
-    the representation hypothesis ``beta > max(lam - 1, 0)`` (ball) or
+    the rest; both are quadrature-backed harmonic functions, the two
+    parts of one :class:`~bergman_lab.spaces.ReproducingSum`.  The ball
+    rule defaults to the representation check's.  Requires the
+    representation hypothesis ``beta > max(lam - 1, 0)`` (ball) or
     ``m > lam - 1`` (half-space); refuses otherwise.
     """
     if kernel.domain != f.domain or kernel.n != f.n:
         raise DomainError("kernel spec does not match the function")
     _check_inner(f, kernel, spec.lam)
     if f.domain == "ball":
-        if quad is None:
-            from .spaces import default_ball_quad
-
-            quad = default_ball_quad(f.n, degree=21, order=8, refinement=11)
-        rho, dirs, w = ball_grid(quad.srule, quad.rrule)
-        Y = rho[:, None] * dirs
-        fv = f(Y)
-        w_signed = w * (1.0 - rho * rho) ** kernel.beta * fv
-        mask = np.abs(fv) * (1.0 - rho) ** spec.lam >= spec.eps
-        # ball_grid is radius-major: node (i, j) is rho_i * d_j
-        shape = (quad.rrule.nodes.size, quad.srule.nodes.shape[0])
-        W = w_signed.reshape(shape)
-        mask = mask.reshape(shape)
-        f1, f2 = (HarmonicFn(f.label + suffix, "ball", f.n,
-                             _kernel_part_ball(kernel, quad.rrule.nodes,
-                                               quad.srule.nodes,
-                                               np.where(part, W, 0.0), tol),
-                             axis=f.axis)
-                  for suffix, part in (("_f1", ~mask), ("_f2", mask)))
-        return f1, f2
-
-    m = kernel.m
-    L = 8
-    rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
-                          order=8, lateral_refinement=L + 2)
-    Yq, sq, w = rule.flat()
-    fv = f(Yq, sq)
-    w_signed = w * sq**m * fv
-    mask = np.abs(fv) * sq**spec.lam >= spec.eps
+        rule = default_ball_quad(f.n) if quad is None else quad
+    else:
+        L = 8
+        rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L,
+                              s_max=2.0**L, order=8, lateral_refinement=L + 2)
+    repro = ReproducingSum(f, kernel, rule, tol)
+    mask = np.abs(repro.values) * repro.dist ** spec.lam >= spec.eps
+    f1, f2 = repro.part(~mask), repro.part(mask)
+    if f.domain == "ball":
+        return (HarmonicFn(f.label + "_f1", "ball", f.n, f1, axis=f.axis),
+                HarmonicFn(f.label + "_f2", "ball", f.n, f2, axis=f.axis))
+    top = float(f.n + kernel.m + 1)
     decay = f.decay_power if f.decay_power is not None else float(f.n + 1)
-    f1 = HarmonicFn(f.label + "_f1", "halfspace", f.n,
-                    _kernel_part_half(f, kernel, Yq[~mask], sq[~mask],
-                                      w_signed[~mask]),
-                    decay_power=min(decay, float(f.n + m + 1)))
-    f2 = HarmonicFn(f.label + "_f2", "halfspace", f.n,
-                    _kernel_part_half(f, kernel, Yq[mask], sq[mask],
-                                      w_signed[mask]),
-                    decay_power=float(f.n + m + 1))
-    return f1, f2
+    return (HarmonicFn(f.label + "_f1", "halfspace", f.n, f1,
+                       decay_power=min(decay, top)),
+            HarmonicFn(f.label + "_f2", "halfspace", f.n, f2,
+                       decay_power=top))
 
 
 def _probe_points(f, shells, samples, degree=None):

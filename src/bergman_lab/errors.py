@@ -39,8 +39,3 @@ class DivergenceDetected(BergmanLabError):
 
 class UnboundedNormError(BergmanLabError):
     """A weighted sup norm kept growing at the finest boundary shell."""
-
-
-class HypothesisViolation(BergmanLabError, ValueError):
-    """A verification or representation hypothesis fails; the message
-    names the violated hypothesis."""

@@ -17,8 +17,6 @@ from .errors import DomainError
 
 __all__ = ["BallPoint", "HalfPoint", "tangent_frame"]
 
-_UNIT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BallPoint:
@@ -58,16 +56,6 @@ class BallPoint:
     def x(self) -> np.ndarray:
         """Cartesian coordinates ``r * direction``."""
         return self.r * self.direction
-
-    @classmethod
-    def from_cartesian(cls, x) -> "BallPoint":
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            e = np.zeros(x.size)
-            e[0] = 1.0
-            return cls(0.0, e)
-        return cls(r, x / r)
 
 
 @dataclass(frozen=True)

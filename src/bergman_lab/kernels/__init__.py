@@ -5,10 +5,8 @@ from .ball import (
     KernelSpec,
     ball_kernel,
     halfspace_kernel,
-    poisson_ball,
     poisson_ball_rt,
     poisson_partial_sums,
-    q_beta_bound,
     q_beta_bound_qt,
     q_beta_grid,
     q_beta_values,
@@ -17,10 +15,7 @@ from .ball import (
 from .halfspace import (
     dt_poisson_ut,
     poisson_constant,
-    poisson_halfspace,
     poisson_halfspace_ut,
-    q_m,
-    q_m_bound,
     q_m_bound_values,
     q_m_values,
 )
@@ -31,20 +26,15 @@ __all__ = [
     "KernelSpec",
     "ball_kernel",
     "halfspace_kernel",
-    "poisson_ball",
     "poisson_ball_rt",
     "poisson_partial_sums",
-    "q_beta_bound",
     "q_beta_bound_qt",
     "q_beta_grid",
     "q_beta_values",
     "qbeta_pick_k",
     "dt_poisson_ut",
     "poisson_constant",
-    "poisson_halfspace",
     "poisson_halfspace_ut",
-    "q_m",
-    "q_m_bound",
     "q_m_bound_values",
     "q_m_values",
     "ZonalTable",

@@ -3,9 +3,9 @@
 Normalizations follow the normalized surface and volume measures of
 :mod:`bergman_lab.quadrature`:
 
-* ``poisson_ball(x, y') = (1 - |x|^2) / |x - y'|^n`` reproduces bounded
-  harmonic functions against the normalized surface measure and expands
-  as ``sum_k r^k Z_k(<x', y'>)``.
+* the Poisson kernel ``P(x, y') = (1 - |x|^2) / |x - y'|^n`` reproduces
+  bounded harmonic functions against the normalized surface measure and
+  expands as ``sum_k r^k Z_k(<x', y'>)``.
 
 * the weight-``beta`` Bergman kernel
 
@@ -32,19 +32,16 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DivergentSeriesError, DomainError
-from ..geometry import BallPoint
 from .zonal import zonal_table
 
 __all__ = [
     "KernelSpec",
     "ball_kernel",
     "halfspace_kernel",
-    "poisson_ball",
     "poisson_ball_rt",
     "poisson_partial_sums",
     "q_beta_values",
     "q_beta_grid",
-    "q_beta_bound",
     "q_beta_bound_qt",
     "qbeta_pick_k",
 ]
@@ -106,21 +103,9 @@ def poisson_ball_rt(r, t, n):
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(r < 0) or np.any(r >= 1):
-        raise DomainError("poisson_ball needs 0 <= r < 1")
+        raise DomainError("poisson_ball_rt needs 0 <= r < 1")
     dist2 = 1.0 - 2.0 * r * t + r * r
     return (1.0 - r * r) / dist2 ** (0.5 * n)
-
-
-def poisson_ball(x: BallPoint, y_prime):
-    """Poisson kernel ``P(x, y')`` of the unit ball at a boundary point."""
-    y_prime = np.asarray(y_prime, dtype=float)
-    if y_prime.shape != (x.n,):
-        raise DomainError("y_prime must be a single boundary direction")
-    nrm = float(np.linalg.norm(y_prime))
-    if abs(nrm - 1.0) > 1e-8:
-        raise DomainError("y_prime must have unit length")
-    t = float(np.dot(x.direction, y_prime / nrm))
-    return float(poisson_ball_rt(x.r, t, x.n))
 
 
 def poisson_partial_sums(r, t, n, k_max):
@@ -349,13 +334,3 @@ def q_beta_bound_qt(q, t, n, beta):
     t = np.asarray(t, dtype=float)
     dist2 = 1.0 - 2.0 * q * t + q * q
     return dist2 ** (-0.5 * (n + beta))
-
-
-def q_beta_bound(x: BallPoint, y: BallPoint, spec):
-    """Size envelope for ``Q_beta``; finite whenever ``r * rho < 1``."""
-    if spec.domain != "ball":
-        raise DomainError("q_beta_bound needs a ball kernel spec")
-    if spec.beta <= 0:
-        raise DomainError("the envelope requires beta > 0")
-    t = float(np.dot(x.direction, y.direction))
-    return float(q_beta_bound_qt(x.r * y.r, t, spec.n, spec.beta))

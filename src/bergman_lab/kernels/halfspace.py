@@ -52,16 +52,12 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DomainError
-from ..geometry import HalfPoint
 
 __all__ = [
     "poisson_constant",
-    "poisson_halfspace",
     "poisson_halfspace_ut",
     "dt_poisson_ut",
-    "q_m",
     "q_m_values",
-    "q_m_bound",
     "q_m_bound_values",
 ]
 
@@ -76,16 +72,8 @@ def poisson_halfspace_ut(u, t, n):
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
-        raise DomainError("poisson_halfspace needs t > 0")
+        raise DomainError("poisson_halfspace_ut needs t > 0")
     return poisson_constant(n) * t / (u + t * t) ** (0.5 * (n + 1))
-
-
-def poisson_halfspace(x, t, n=None):
-    """Poisson kernel ``P(x, t)`` for lateral offset ``x`` in ``R^n``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if n is None:
-        n = x.size
-    return float(poisson_halfspace_ut(float(np.dot(x, x)), t, n))
 
 
 @lru_cache(maxsize=128)
@@ -171,28 +159,8 @@ def q_m_values(u, tau, n, m):
     return _dt_values(m + 1, u, tau, n, (-2.0) ** (m + 1) / math.factorial(m))
 
 
-def q_m(z: HalfPoint, w: HalfPoint, spec):
-    """``Q_m(z, w)`` for half-space points ``z = (x, t)``, ``w = (y, s)``."""
-    if spec.domain != "halfspace":
-        raise DomainError("q_m needs a half-space kernel spec")
-    if z.n != spec.n or w.n != spec.n:
-        raise DomainError("kernel spec / point dimension mismatch")
-    diff = z.y - w.y
-    u = float(np.dot(diff, diff))
-    return float(q_m_values(u, z.s + w.s, spec.n, spec.m))
-
-
 def q_m_bound_values(u, tau, n, m):
     """Envelope ``(u + tau^2)^{-(n+m+1)/2}``."""
     u = np.asarray(u, dtype=float)
     tau = np.asarray(tau, dtype=float)
     return (u + tau * tau) ** (-0.5 * (n + m + 1))
-
-
-def q_m_bound(z: HalfPoint, w: HalfPoint, spec):
-    """Size envelope ``[|x-y|^2 + (t+s)^2]^{-(n+m+1)/2}`` for ``Q_m``."""
-    if spec.domain != "halfspace":
-        raise DomainError("q_m_bound needs a half-space kernel spec")
-    diff = z.y - w.y
-    u = float(np.dot(diff, diff))
-    return float(q_m_bound_values(u, z.s + w.s, spec.n, spec.m))

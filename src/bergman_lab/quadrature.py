@@ -2,9 +2,9 @@
 
 Conventions
 -----------
-Surface measure on the unit sphere is normalized: ``integrate_sphere``
-of the constant 1 is exactly 1.  Volume measure on the unit ball is
-normalized as well, via
+Surface measure on the unit sphere is normalized: the weights of a
+sphere rule sum to 1.  Volume measure on the unit ball is normalized
+as well, via
 
     integral_B g dV = n * int_0^1 r^{n-1} (sphere mean of g at radius r) dr,
 
@@ -43,9 +43,6 @@ __all__ = [
     "sphere_area",
     "ball_grid",
     "lateral_grid",
-    "integrate_sphere",
-    "integrate_ball",
-    "ball_shell_means",
     "integrate_halfspace",
     "integrate_lateral",
     "radial_profile",
@@ -205,21 +202,6 @@ def sphere_area(n):
     return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) if n >= 2 else 2.0
 
 
-def integrate_sphere(g, rule):
-    """Normalized sphere average ``sum_i w_i g(node_i)``.
-
-    ``g`` maps an ``(M, n)`` array of unit vectors to an ``(M,)`` array.
-    Raises :class:`EvaluationError` if any value is non-finite.
-    """
-    vals = np.asarray(g(rule.nodes), dtype=float)
-    if vals.shape != rule.weights.shape:
-        raise EvaluationError(
-            f"integrand returned shape {vals.shape}, expected {rule.weights.shape}"
-        )
-    _check_finite(vals, rule.nodes)
-    return float(np.dot(rule.weights, vals))
-
-
 def _check_finite(vals, nodes):
     if np.all(np.isfinite(vals)):
         return
@@ -277,33 +259,6 @@ def ball_grid(srule, rrule):
     w = np.repeat(rrule.weights * rrule.nodes ** (srule.n - 1), nd) * np.tile(
         srule.weights, rrule.nodes.size)
     return rho, dirs, w
-
-
-def ball_shell_means(g, srule, rrule):
-    """Sphere means of ``g`` on every radial shell of ``rrule``.
-
-    Returns ``(r_nodes, shell_means)`` where ``shell_means[j]`` is the
-    normalized sphere average of ``g`` at radius ``r_nodes[j]``.  The
-    integrand is called once with all ``len(r) * len(dirs)`` points.
-    """
-    r = rrule.nodes
-    dirs = srule.nodes
-    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, srule.n)
-    vals = np.asarray(g(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise EvaluationError(
-            f"integrand returned shape {vals.shape}, expected {(pts.shape[0],)}"
-        )
-    _check_finite(vals, pts)
-    vals = vals.reshape(r.size, dirs.shape[0])
-    return r, vals @ srule.weights
-
-
-def integrate_ball(g, srule, rrule):
-    """Normalized-volume integral of ``g`` over the unit ball."""
-    r, means = ball_shell_means(g, srule, rrule)
-    n = srule.n
-    return float(n * np.dot(rrule.weights, r ** (n - 1) * means))
 
 
 def radial_profile(f, p, r_grid, srule):

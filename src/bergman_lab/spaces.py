@@ -34,6 +34,7 @@ from .kernels import (
     ball_kernel,
     poisson_ball_rt,
     poisson_halfspace_ut,
+    q_beta_grid,
     q_beta_values,
     q_m_values,
     zonal,
@@ -43,10 +44,8 @@ from .profiles import classify_truncations
 from .quadrature import (
     HalfSpaceValue,
     TailDecay,
-    composite_gauss,
     halfspace_rule,
     integrate_halfspace,
-    integrate_sphere,
     lateral_grid,
     radial_profile,
     radial_rule,
@@ -60,7 +59,7 @@ __all__ = [
     "BallQuad",
     "default_ball_quad",
     "default_half_quad",
-    "mp_norm",
+    "ReproducingSum",
     "bergman_norm",
     "ball_norm_profile",
     "halfspace_norm_profile",
@@ -216,27 +215,147 @@ def default_half_quad(n, R_xy=64.0, s_min=2.0**-14, s_max=2.0**10, order=10,
 
 
 # ---------------------------------------------------------------------------
+# The reproducing sum
+
+#: element budget of the kernel values block behind one ``q_beta_grid``
+#: or ``q_m_values`` call of a reproducing sum or a half-space s2 engine
+_PART_BUDGET = 1 << 18
+
+
+class ReproducingSum:
+    """The reproducing integral ``f(x) = int Q(x, y) f(y) w(y) dy`` of
+    ``f`` as the quadrature sum ``sum_i Q(x, y_i) w_i f(y_i)``.
+
+    Ball: ``rule`` is a :class:`BallQuad`, the nodes are the products
+    ``rho_i d_j`` of its radial and sphere nodes, and the weights are
+    those of ``(1 - rho^2)^beta rho^{n-1} drho dsigma'``.  Half-space:
+    ``rule`` is a :class:`~bergman_lab.quadrature.HalfSpaceRule`, taken
+    flat, with the weights of ``s^m dy ds``.  ``f`` is evaluated once:
+    ``values`` holds it on the nodes and ``dist`` each node's boundary
+    distance (``1 - rho`` or ``s``), shaped to broadcast against
+    ``values``.
+    """
+
+    def __init__(self, f, kernel, rule, tol=1e-12):
+        self.kernel, self.tol = kernel, tol
+        if kernel.domain == "ball":
+            rho, dirs = rule.rrule.nodes, rule.srule.nodes
+            pts = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
+            self.values = f(pts).reshape(rho.size, -1)
+            self.dist = (1.0 - rho)[:, None]
+            self._nodes = rho, dirs
+            # the outer product of the radial and the sphere factors;
+            # the flat grid would tile every node array to full size
+            self._w = ((rule.rrule.weights * rho ** (f.n - 1))[:, None]
+                       * rule.srule.weights[None, :]
+                       * ((1.0 - rho * rho) ** kernel.beta)[:, None]
+                       * self.values)
+        else:
+            Y, s, w = rule.flat()
+            self.values = f(Y, s)
+            self.dist = s
+            self._nodes = Y, s
+            self._w = w * s**kernel.m * self.values
+
+    def part(self, keep=None):
+        """The sum over the nodes where ``keep`` holds (all of them when
+        ``keep`` is None), as a function of ball points ``X`` or of
+        half-space points ``(Y, s)``."""
+        if self.kernel.domain == "ball":
+            W = self._w if keep is None else np.where(keep, self._w, 0.0)
+            return _ball_sum(self.kernel, *self._nodes, W, self.tol)
+        (Y, s), w = self._nodes, self._w
+        if keep is not None:
+            Y, s, w = Y[keep], s[keep], w[keep]
+        return _half_sum(self.kernel, Y, s, w)
+
+
+def _ball_sum(kernel, rho, dirs, W, tol):
+    """``X -> sum_{i,j} Q_beta(x, rho_i d_j) W[i, j]``.
+
+    A point at radius ``r`` meets the rows ``r * rho_i`` and the cosines
+    ``<x', d_j>``, so points of one radius share one ``q_beta_grid``
+    call; rows whose weights are all zero are dropped.  The sums are
+    ``np.einsum`` contractions, whose bits do not depend on the BLAS
+    thread count.
+    """
+    live = np.any(W != 0.0, axis=1)
+    rho, W = rho[live], W[live]
+    # points per kernel grid, so that the values block stays in budget
+    per = max(1, _PART_BUDGET // max(rho.size * dirs.shape[0], 1))
+
+    def fn(X):
+        X = np.asarray(X, dtype=float)
+        r = np.linalg.norm(X, axis=1)
+        xd = np.where(r[:, None] > 0, X / np.maximum(r, 1e-300)[:, None], 0.0)
+        xd[r == 0, 0] = 1.0
+        out = np.zeros(X.shape[0])
+        if rho.size == 0:
+            return out
+        radii, group = np.unique(r, return_inverse=True)
+        for g, rg in enumerate(radii):
+            pts = np.flatnonzero(group == g)
+            for k0 in range(0, pts.size, per):
+                idx = pts[k0:k0 + per]
+                t = np.einsum("pk,jk->pj", xd[idx], dirs)
+                vals, _ = q_beta_grid(kernel, rg * rho, t.ravel(), tol)
+                out[idx] = np.einsum("ipj,ij->p",
+                                     vals.reshape(rho.size, idx.size, -1), W)
+        return out
+
+    return fn
+
+
+def _half_sum(kernel, Yq, sq, w):
+    """``(Y, s) -> sum_i Q_m((y, s), (Yq_i, sq_i)) w_i``, in chunks of
+    points so that the values block stays within ``_PART_BUDGET``."""
+    per = max(1, _PART_BUDGET // max(sq.size, 1))
+
+    def fn(Y, s):
+        Y = np.asarray(Y, dtype=float)
+        s = np.asarray(s, dtype=float)
+        out = np.empty(s.size)
+        for k0 in range(0, s.size, per):
+            diff = Y[k0:k0 + per, None, :] - Yq[None, :, :]
+            u = np.einsum("ijk,ijk->ij", diff, diff)
+            tau = s[k0:k0 + per, None] + sq[None, :]
+            vals = q_m_values(u, tau, kernel.n, kernel.m)
+            vals *= w
+            # pairwise row sums: thread-independent bits, and closer to
+            # the exact sum than a sequential dot over ~1e4 signed terms
+            out[k0:k0 + per] = vals.sum(axis=1)
+        return out
+
+    return fn
+
+
+# ---------------------------------------------------------------------------
 # Norms
 
 
-def mp_norm(f, p, r, srule):
-    """Shell mean ``M_p(f, r)`` under normalized surface measure."""
-    if not (0.0 <= r < 1.0):
-        raise DomainError("mp_norm needs 0 <= r < 1")
-    return float(radial_profile(f, p, np.array([r]), srule)[0])
-
-
-def _ball_partials(f, p, alpha, quad):
-    """Weighted partial integrals of |f|^p on dyadic radial truncations,
-    plus the full integral."""
+def _ball_partials(f, p, weight, quad):
+    """Partial integrals of ``|f|^p`` against the radial ``weight`` (its
+    values on the radial nodes) on dyadic radial truncations, plus the
+    full integral."""
     n = quad.srule.n
     rr = quad.rrule
     r = rr.nodes
     means = radial_profile(f, p, r, quad.srule) ** p
-    contrib = rr.weights * (n * r ** (n - 1) * (1.0 - r * r) ** alpha * means)
+    contrib = rr.weights * (n * r ** (n - 1) * weight * means)
     levels = np.arange(1, rr.boundary_refinement + 1)
     sums = rr.level_sums(contrib, [*levels, math.inf])
     return levels * math.log(2.0), sums[:-1], float(sums[-1])
+
+
+def _ball_norm(f, p, weight, quad, message):
+    """``(int |f|^p weight)^{1/p}``; raises :class:`DivergenceDetected`
+    with ``message`` when the truncation profile classifies the integral
+    as divergent."""
+    cuts, partial, full = _ball_partials(f, p, weight, quad)
+    prof = classify_truncations(cuts, partial)
+    if prof.is_divergent():
+        raise DivergenceDetected(message, prof)
+    return full ** (1.0 / p)
 
 
 def ball_norm_profile(f, p, alpha, quad=None, n=None):
@@ -245,7 +364,8 @@ def ball_norm_profile(f, p, alpha, quad=None, n=None):
         quad = default_ball_quad(n if n is not None else f.n)
     if alpha <= -1.0:
         raise DomainError("weight exponent alpha must exceed -1")
-    cuts, partial, _ = _ball_partials(f, p, alpha, quad)
+    r = quad.rrule.nodes
+    cuts, partial, _ = _ball_partials(f, p, (1.0 - r * r) ** alpha, quad)
     return classify_truncations(cuts, partial)
 
 
@@ -263,13 +383,10 @@ def bergman_norm(f, p, alpha, quad=None):
     if f.domain == "ball":
         if quad is None:
             quad = default_ball_quad(f.n)
-        cuts, partial, full = _ball_partials(f, p, alpha, quad)
-        prof = classify_truncations(cuts, partial)
-        if prof.is_divergent():
-            raise DivergenceDetected(
-                f"norm integral of {f.label} diverges "
-                f"(p={p}, alpha={alpha})", prof)
-        return full ** (1.0 / p)
+        r = quad.rrule.nodes
+        return _ball_norm(f, p, (1.0 - r * r) ** alpha, quad,
+                          f"norm integral of {f.label} diverges "
+                          f"(p={p}, alpha={alpha})")
     return _halfspace_norm(f, p, alpha, quad)
 
 
@@ -330,20 +447,10 @@ def weighted_norm(f, p, v, quad=None):
         raise DomainError("p must be positive")
     if quad is None:
         quad = default_ball_quad(f.n)
-    n = f.n
-    r = quad.rrule.nodes
-    means = radial_profile(f, p, r, quad.srule) ** p
-    w = np.asarray(v(1.0 - r), dtype=float)
+    w = np.asarray(v(1.0 - quad.rrule.nodes), dtype=float)
     if np.any(~np.isfinite(w)) or np.any(w < 0):
         raise DomainError("weight v must be finite and nonnegative on (0,1)")
-    contrib = quad.rrule.weights * (n * r ** (n - 1) * w * means)
-    levels = np.arange(1, quad.rrule.boundary_refinement + 1)
-    sums = quad.rrule.level_sums(contrib, [*levels, math.inf])
-    prof = classify_truncations(levels * math.log(2.0), sums[:-1])
-    if prof.is_divergent():
-        raise DivergenceDetected(
-            f"weighted norm of {f.label} diverges", prof)
-    return float(sums[-1]) ** (1.0 / p)
+    return _ball_norm(f, p, w, quad, f"weighted norm of {f.label} diverges")
 
 
 def mixed_norm(f, p, q, alpha, kind, quad=None):

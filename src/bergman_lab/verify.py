@@ -39,6 +39,7 @@ from .quadrature import (
     zonal_rule,
 )
 from .spaces import (
+    ReproducingSum,
     bergman_norm,
     default_ball_quad,
     gallery_fn,
@@ -422,40 +423,12 @@ def verify_kernel_bounds(spec, sample_count=4096, order=10,
 # Integral representations
 
 
-def _ball_repro_errors(f, spec, X, quad, tol):
-    n, beta = spec.n, spec.beta
-    srule, rrule = quad.srule, quad.rrule
-    rho = rrule.nodes
-    Y = rho[:, None, None] * srule.nodes[None, :, :]
-    fvals = f(Y.reshape(-1, n)).reshape(rho.size, -1)
-    w = (rrule.weights * rho ** (n - 1) * (1.0 - rho * rho) ** beta)[:, None] \
-        * srule.weights[None, :] * fvals
-    errs = []
-    for x in X:
-        r = float(np.linalg.norm(x))
-        xp = x / r if r > 0 else np.eye(n)[0]
-        vals, _ = q_beta_grid(spec, r * rho, srule.nodes @ xp, tol=tol)
-        repro = float(np.sum(vals * w))
-        fx = float(f(x[None, :])[0])
-        errs.append(abs(repro - fx) / (1.0 + abs(fx)))
-    return np.array(errs)
-
-
-def _half_repro_errors(f, spec, Z, rule):
-    n, m = spec.n, spec.m
-    Y, s, w = rule.flat()
-    fw = f(Y, s) * w * s ** m
-    errs = []
-    for z in Z:
-        zy, zt = np.asarray(z[0], dtype=float), float(z[1])
-        diff = Y - zy[None, :]
-        u = np.einsum("ij,ij->i", diff, diff)
-        # einsum, not a BLAS dot: the sum's bits must not depend on how
-        # many threads the BLAS splits it across
-        repro = float(np.einsum("i,i->", q_m_values(u, s + zt, n, m), fw))
-        fz = float(f(zy[None, :], np.array([zt]))[0])
-        errs.append(abs(repro - fz) / (1.0 + abs(fz)))
-    return np.array(errs)
+def _repro_errors(f, spec, rule, points, tol):
+    """``|sum - f| / (1 + |f|)`` of the reproducing sum on ``rule`` at
+    ``points``: ``(X,)`` on the ball, ``(Y, t)`` on the half-space."""
+    repro = ReproducingSum(f, spec, rule, tol).part()(*points)
+    fx = f(*points)
+    return np.abs(repro - fx) / (1.0 + np.abs(fx))
 
 
 def _ball_x_grid(n):
@@ -527,12 +500,11 @@ def verify_representation(f, spec, p=2.0, alpha=0.0, weight=None,
             raise DomainError("representation grid is capped at |x| = 0.75")
         if quad is None:
             quad = default_ball_quad(spec.n)
-        coarse = _ball_repro_errors(f, spec, X, quad, tol)
         fquad = default_ball_quad(
             spec.n, degree=quad.srule.degree + 10,
             order=quad.rrule.order + 2,
             refinement=quad.rrule.boundary_refinement + 2)
-        fine = _ball_repro_errors(f, spec, X, fquad, tol)
+        points, rules = (X,), (quad, fquad)
     else:
         if f.domain != "halfspace" or f.n != spec.n:
             raise DomainError("function/kernel domain mismatch")
@@ -587,9 +559,11 @@ def verify_representation(f, spec, p=2.0, alpha=0.0, weight=None,
         frule = halfspace_rule(spec.n, R_xy=128.0, s_min=2.0 ** -13,
                                s_max=2.0 ** 9, order=12,
                                lateral_refinement=13)
-        coarse = _half_repro_errors(f, spec, Z, rule)
-        fine = _half_repro_errors(f, spec, Z, frule)
+        points = (np.array([np.asarray(z[0], dtype=float) for z in Z]),
+                  np.array([float(z[1]) for z in Z]))
+        rules = (rule, frule)
 
+    coarse, fine = (_repro_errors(f, spec, r, points, tol) for r in rules)
     threshold = REPRESENTATION_THRESHOLD[spec.domain]
     max_err = float(fine.max())
     drift = float(np.max(np.abs(fine - coarse)))

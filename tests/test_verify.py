@@ -6,13 +6,15 @@ where it must refuse with the violated hypothesis named.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bergman_lab.errors import DomainError
 from bergman_lab.kernels import ball_kernel, halfspace_kernel
-from bergman_lab.spaces import HarmonicFn, gallery_fn, s_weight
+from bergman_lab.spaces import (HarmonicFn, default_ball_quad, gallery_fn,
+                                s_weight)
 from bergman_lab.verify import (DRIFT_THRESHOLD, default_suite, run_suite,
                                 verify_kernel_bounds, verify_qbeta,
                                 verify_qm, verify_representation,
@@ -156,22 +158,48 @@ def test_representation_halfspace():
     assert report.max_ratio <= 1e-3
 
 
-_HALF_REPRO_BITS = """
-from bergman_lab.kernels import halfspace_kernel
+def test_representation_ball_memory_is_bounded():
+    # the sum's weights are the outer product of the radial and sphere
+    # factors; the flat grid would tile every node array to full size
+    f = gallery_fn("solid_k2", "ball", 3)
+    kernel = ball_kernel(3, 1.0)
+    quad = default_ball_quad(3)
+    X = np.array([[0.3, 0.2, -0.1]])
+    verify_representation(f, kernel, x_grid=X, quad=quad)  # warm caches
+    tracemalloc.start()
+    try:
+        report = verify_representation(f, kernel, x_grid=X, quad=quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 32e6
+
+
+_REPRO_BITS = """
+from bergman_lab.kernels import {kernel}
 from bergman_lab.spaces import gallery_fn
 from bergman_lab.verify import verify_representation
-report = verify_representation(gallery_fn("qm_w0", "halfspace", 1),
-                               halfspace_kernel(1, 1), p=2.0, alpha=1.0)
+report = verify_representation({args})
 print(report.max_ratio.hex(), report.grid_refinement_drift.hex())
 """
+
+_REPRO_INPUTS = (
+    ("halfspace_kernel", 'gallery_fn("qm_w0", "halfspace", 1), '
+                         'halfspace_kernel(1, 1), p=2.0, alpha=1.0'),
+    ("ball_kernel", 'gallery_fn("solid_k2", "ball", 3), ball_kernel(3, 1.0)'),
+)
 
 
 def test_representation_halfspace_bits_ignore_blas_threads(outputs_under_blas_threads):
     # the reproduction sums are long dot products; a BLAS dot splits them
-    # across threads and changes their last bits with the thread count
-    outputs = outputs_under_blas_threads(_HALF_REPRO_BITS)
-    assert outputs[0].count(" ") == 1
-    assert outputs[0] == outputs[1]
+    # across threads and changes their last bits with the thread count.
+    # Both domains run, the ball as well as the half-space
+    for kernel, args in _REPRO_INPUTS:
+        outputs = outputs_under_blas_threads(
+            _REPRO_BITS.format(kernel=kernel, args=args))
+        assert outputs[0].count(" ") == 1
+        assert outputs[0] == outputs[1]
 
 
 def test_representation_nonmember_refused():
