@@ -36,7 +36,7 @@ from bergman_lab.distance import (LevelSetSpec, _make_engine, _sup_points,
                                   decompose)
 from bergman_lab.kernels import (ball_kernel, halfspace_kernel, q_beta_grid,
                                  q_beta_values, q_m_values)
-from bergman_lab.quadrature import ball_grid, halfspace_rule
+from bergman_lab.quadrature import window_rule
 from bergman_lab.spaces import ainf_norm, default_ball_quad, gallery_fn
 
 PRODUCT_TOL = 1e-12
@@ -104,7 +104,14 @@ def bench_decomposition(repeats, tol=1e-11):
     _, f2 = decompose(f, spec, kernel, quad=quad, tol=tol)
     part_s, part = best_of(repeats, lambda: f2(X))
 
-    rho, dirs, w = ball_grid(quad.srule, quad.rrule)
+    # the flat radius-major product, built here independently of the
+    # library's product helpers
+    rr, sr = quad.rrule, quad.srule
+    nd = sr.nodes.shape[0]
+    rho = np.repeat(rr.nodes, nd)
+    dirs = np.tile(sr.nodes, (rr.nodes.size, 1))
+    w = (np.repeat(rr.weights * rr.nodes ** 2, nd)
+         * np.tile(sr.weights, rr.nodes.size))
     fv = f(rho[:, None] * dirs)
     w_signed = w * (1.0 - rho * rho) ** kernel.beta * fv
     mask = np.abs(fv) * (1.0 - rho) ** spec.lam >= spec.eps
@@ -151,10 +158,14 @@ def bench_half_engine(repeats, rows=512):
 
     eng_s, got = best_of(repeats, engines)
 
-    # the engine's default master grid: levels up to 7, one more level
+    # the engine's default master grid: levels up to 7, one more level;
+    # its flat height-major product built here
     L = 8
-    Y, s, w = halfspace_rule(1, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
-                             order=6, lateral_refinement=L + 2).flat()
+    rule = window_rule(1, L, order=6, lateral_refinement=L + 2)
+    m_lat, m_s = rule.y_nodes.size, rule.s_nodes.size
+    Y = np.tile(rule.y_nodes, m_s)[:, None]
+    s = np.repeat(rule.s_nodes, m_lat)
+    w = np.repeat(rule.s_weights, m_lat) * np.tile(rule.y_weights, m_s)
     wsize = np.abs(f(Y, s)) * s**lam
 
     def reference():

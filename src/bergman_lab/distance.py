@@ -50,11 +50,13 @@ from .profiles import (
     classify_truncations,
 )
 from .quadrature import (
-    ball_grid,
-    halfspace_rule,
+    ball_points,
+    dyadic_window,
+    halfspace_points,
     lateral_grid,
     radial_rule,
     sphere_rule,
+    window_rule,
     zonal_rule,
 )
 from .spaces import (
@@ -331,12 +333,13 @@ class _BallGridEngine(_BallEngine):
         super().__init__(f, lam, kernel, p, alpha, j_levels, order, tol,
                          q_outer)
 
+        # (ring, inner direction) matrices
         sr_in = sphere_rule(f.n, inner_degree)
-        rho, dirs_in, w0 = ball_grid(sr_in, self.rr_in)
-        shape = (self.rr_in.nodes.size, -1)  # (ring, inner direction)
-        self.wsize = (np.abs(f(rho[:, None] * dirs_in))
-                      * (1.0 - rho) ** lam).reshape(shape)
-        self.w_beta = (w0 * (1.0 - rho) ** (kernel.beta - lam)).reshape(shape)
+        rho = self.rr_in.nodes
+        self.wsize = (np.abs(sr_in.values(f, rho))
+                      * ((1.0 - rho) ** lam)[:, None])
+        self.w_beta = (sr_in.product_weights(self.rr_in)
+                       * ((1.0 - rho) ** (kernel.beta - lam))[:, None])
 
         sr_out = sphere_rule(f.n, outer_degree)
         self.w_out = sr_out.weights
@@ -364,11 +367,10 @@ class _HalfGridEngine(_S2Engine):
     """s2 evaluator on the half-space with expanding windows.
 
     One master tensor grid serves as both inner and outer domain;
-    window ``j`` keeps nodes with ``|y_i| <= 2^j`` and
-    ``2^-j <= s <= 2^j``, so divergence at the boundary and at infinity
-    are probed together.  The master grid extends one level beyond the
-    largest window so outer points near the last window still see their
-    local kernel mass.
+    window ``j`` keeps the nodes inside ``quadrature.dyadic_window(j)``,
+    so divergence at the boundary and at infinity are probed together.
+    The master grid extends one level beyond the largest window so outer
+    points near the last window still see their local kernel mass.
 
     Inner nodes (columns) are stably sorted by descending ``wsize``, so
     every level set is a prefix of that order.  ``inner_values(eps)``
@@ -388,15 +390,17 @@ class _HalfGridEngine(_S2Engine):
         L = int(self.j_levels.max()) + 1
         if lateral_refinement is None:
             lateral_refinement = L + 2
-        rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
-                              order=order, lateral_refinement=lateral_refinement)
+        rule = window_rule(f.n, L, order=order,
+                           lateral_refinement=lateral_refinement)
         self.mesh, self.w_lat = rule.lateral_mesh()
         self.s_nodes, self.s_weights = rule.s_nodes, rule.s_weights
-        Y, s, w = rule.flat()
-        self.wsize = np.abs(f(Y, s)) * s**lam
+        heights = self.s_nodes[:, None]
+        self.wsize = (np.abs(rule.values(f)) * heights**lam).ravel()
         cols = np.argsort(-self.wsize, kind="stable")
+        Y, s = rule.points()
         self._Y, self._s = Y[cols], s[cols]
-        self._w = (w * s ** (kernel.m - lam))[cols]
+        w = rule.product_weights() * heights ** (kernel.m - lam)
+        self._w = w.ravel()[cols]
         # _sums[b]: the sum of the first b full blocks, (height, lateral)
         self._sums = [np.zeros((self.s_nodes.size, self.mesh.shape[0]))]
 
@@ -440,9 +444,9 @@ class _HalfGridEngine(_S2Engine):
         inner = self.inner_values(eps).reshape(self.s_nodes.size, -1)
         vals = []
         for j in self.j_levels:
-            side = 2.0**j
-            lat_ok = np.all(np.abs(self.mesh) <= side, axis=1)
-            s_ok = (self.s_nodes >= 2.0**-j) & (self.s_nodes <= side)
+            R_xy, s_min, s_max = dyadic_window(j)
+            lat_ok = np.all(np.abs(self.mesh) <= R_xy, axis=1)
+            s_ok = (self.s_nodes >= s_min) & (self.s_nodes <= s_max)
             slab = (inner[s_ok] ** self.p) @ (self.w_lat * lat_ok)
             contrib = (self.s_weights[s_ok] * self.s_nodes[s_ok] ** self.alpha
                        * slab ** (self.q_outer / self.p))
@@ -484,32 +488,33 @@ def s2_inner(f, spec, kernel, point, order=8, degree=21, tol=1e-10):
     _check_inner(f, kernel, spec.lam)
     if f.domain == "ball":
         x = point.x if isinstance(point, BallPoint) else np.asarray(point, float)
-        rho, dirs, w = ball_grid(sphere_rule(f.n, degree), radial_rule(order, 12))
-        mask = level_mask(f, spec, rho[:, None] * dirs)
-        if not np.any(mask):
+        sr, rr = sphere_rule(f.n, degree), radial_rule(order, 12)
+        rho = rr.nodes
+        mask = (np.abs(sr.values(f, rho)) * ((1.0 - rho) ** spec.lam)[:, None]
+                >= spec.eps)
+        live = mask.any(axis=1)
+        if not live.any():
             return 0.0
-        w = (w * (1.0 - rho) ** (kernel.beta - spec.lam))[mask]
+        W = np.where(mask, sr.product_weights(rr)
+                     * ((1.0 - rho) ** (kernel.beta - spec.lam))[:, None], 0.0)
         r = float(np.linalg.norm(x))
         xd = x / r if r > 0 else np.eye(f.n)[0]
-        q = np.ascontiguousarray(r * rho[mask])
-        t = np.ascontiguousarray(dirs[mask] @ xd)
-        vals, _ = q_beta_values(kernel, q, t, tol=tol)
-        return float(np.abs(vals) @ w)
+        # one product-grid call: rows r * rho_i, cosines <x', d_j>
+        vals, _ = q_beta_grid(kernel, r * rho[live], sr.nodes @ xd, tol=tol)
+        return float(np.einsum("ij,ij->", np.abs(vals), W[live]))
 
     zy, zs = _half_point(point)
-    m = kernel.m
-    L = 8
-    rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L, s_max=2.0**L,
-                          order=order, lateral_refinement=L + 2)
-    Y, s, w = rule.flat()
-    mask = level_mask(f, spec, Y, s)
-    if not np.any(mask):
+    rule = window_rule(f.n, 8, order=order, lateral_refinement=10)
+    Y, s = rule.points()
+    heights = rule.s_nodes[:, None]
+    mask = (np.abs(rule.values(f)) * heights**spec.lam >= spec.eps).ravel()
+    if not mask.any():
         return 0.0
+    w = (rule.product_weights() * heights ** (kernel.m - spec.lam)).ravel()
     diff = Y[mask] - zy[None, :]
-    u = np.einsum("ij,ij->i", diff, diff)
-    tau = s[mask] + zs
-    vals = q_m_values(u, tau, f.n, m)
-    return float(np.abs(vals) @ (w[mask] * s[mask] ** (m - spec.lam)))
+    vals = q_m_values(np.einsum("ij,ij->i", diff, diff), s[mask] + zs, f.n,
+                      kernel.m)
+    return float(np.abs(vals) @ w[mask])
 
 
 def s2_inner_mc(f, spec, kernel, point, n_samples=10**6, seed=0,
@@ -590,9 +595,7 @@ def decompose(f, spec, kernel, quad=None, tol=1e-11):
     if f.domain == "ball":
         rule = default_ball_quad(f.n) if quad is None else quad
     else:
-        L = 8
-        rule = halfspace_rule(f.n, R_xy=2.0**L, s_min=2.0**-L,
-                              s_max=2.0**L, order=8, lateral_refinement=L + 2)
+        rule = window_rule(f.n, 8, order=8, lateral_refinement=10)
     repro = ReproducingSum(f, kernel, rule, tol)
     mask = np.abs(repro.values) * repro.dist ** spec.lam >= spec.eps
     f1, f2 = repro.part(~mask), repro.part(mask)
@@ -615,12 +618,11 @@ def _probe_points(f, shells, samples, degree=None):
     if f.domain == "ball":
         if f.axis is not None:
             perp = tangent_frame(f.axis)[0]
-            return np.vstack([_axis_points(np.full(samples.size, rr), samples,
-                                           f.axis, perp) for rr in shells])
-        sr = sphere_rule(f.n, degree)
-        return (shells[:, None, None] * sr.nodes[None, :, :]).reshape(-1, f.n)
-    Y = lateral_grid(samples, f.n)
-    return np.tile(Y, (shells.size, 1)), np.repeat(shells, Y.shape[0])
+            dirs = _axis_points(np.ones(samples.size), samples, f.axis, perp)
+        else:
+            dirs = sphere_rule(f.n, degree).nodes
+        return ball_points(shells, dirs)
+    return halfspace_points(shells, lateral_grid(samples, f.n))
 
 
 def _sup_points(f, levels=10, coarse=9):

@@ -15,6 +15,13 @@ computed from a caller-declared power decay.
 
 All rules are plain frozen dataclasses of nodes and weights; nothing is
 stateful, and identical parameters always reproduce identical nodes.
+
+Each domain builds its product grid in one place: :func:`ball_points`
+(radius x direction) and :func:`halfspace_points` (height x lateral).
+``SphereRule.values(f, r)`` and ``HalfSpaceRule.values(g)`` evaluate
+the integrand once on it as a (radius or height, node) matrix and
+refuse a wrong shape or a non-finite value by node;
+``product_weights`` gives the matching outer product of weights.
 """
 
 from __future__ import annotations
@@ -38,10 +45,13 @@ __all__ = [
     "zonal_rule",
     "radial_rule",
     "halfspace_rule",
+    "dyadic_window",
+    "window_rule",
     "composite_gauss",
     "geometric_edges",
     "sphere_area",
-    "ball_grid",
+    "ball_points",
+    "halfspace_points",
     "lateral_grid",
     "integrate_halfspace",
     "integrate_lateral",
@@ -124,6 +134,25 @@ class SphereRule:
         if self.weights.shape != (self.nodes.shape[0],):
             raise DomainError("weights shape mismatch")
 
+    def values(self, f, r):
+        """``f`` on :func:`ball_points` ``(r, nodes)`` as an ``(r.size, M)``
+        matrix."""
+        return _product_values(f, (len(r), -1), ball_points(r, self.nodes))
+
+    def product_weights(self, rrule):
+        """Weights of ``rho^{n-1} drho dsigma'`` on the product with the
+        nodes of ``rrule``, as a ``(radii, directions)`` outer product."""
+        return ((rrule.weights * rrule.nodes ** (self.n - 1))[:, None]
+                * self.weights[None, :])
+
+
+def ball_points(r, dirs):
+    """The radius x direction product as flat points, radius-major:
+    point ``k`` is direction ``k % M`` on the shell of radius
+    ``r[k // M]``."""
+    pts = np.asarray(r, dtype=float)[:, None, None] * dirs[None, :, :]
+    return pts.reshape(-1, dirs.shape[1])
+
 
 def sphere_rule(n, degree):
     """Product rule on ``S^{n-1}`` exact for polynomials up to ``degree``.
@@ -202,13 +231,21 @@ def sphere_area(n):
     return 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) if n >= 2 else 2.0
 
 
-def _check_finite(vals, nodes):
-    if np.all(np.isfinite(vals)):
-        return
-    bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-    raise EvaluationError(
-        f"integrand non-finite at node index {bad}: {np.asarray(nodes)[bad]!r}"
-    )
+def _product_values(g, shape, *coords):
+    """``g(*coords)`` on flat nodes (one array per coordinate block),
+    reshaped to ``shape``; refuses a result of the wrong length, and a
+    non-finite value by its node."""
+    vals = np.asarray(g(*coords), dtype=float)
+    count = coords[0].shape[0]
+    if vals.shape != (count,):
+        raise EvaluationError(
+            f"integrand returned shape {vals.shape}, expected {(count,)}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        node = np.hstack([c[bad[0]] for c in coords])
+        raise EvaluationError(
+            f"integrand non-finite at node index {bad[0]}: {node!r}")
+    return vals.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +287,6 @@ def radial_rule(order=12, boundary_refinement=10):
     return RadialRule(int(order), int(boundary_refinement), edges, nodes, weights)
 
 
-def ball_grid(srule, rrule):
-    """The radius x direction product as flat ``(rho, dirs, w)``,
-    radius-major, with weights of ``rho^{n-1} drho dsigma'``."""
-    nd = srule.nodes.shape[0]
-    rho = np.repeat(rrule.nodes, nd)
-    dirs = np.tile(srule.nodes, (rrule.nodes.size, 1))
-    w = np.repeat(rrule.weights * rrule.nodes ** (srule.n - 1), nd) * np.tile(
-        srule.weights, rrule.nodes.size)
-    return rho, dirs, w
-
-
 def radial_profile(f, p, r_grid, srule):
     """Shell means ``M_p(f, r)`` on a caller-supplied radius grid.
 
@@ -271,10 +297,7 @@ def radial_profile(f, p, r_grid, srule):
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(r_grid < 0) or np.any(r_grid >= 1):
         raise DomainError("radial profile needs 0 <= r < 1")
-    dirs = srule.nodes
-    pts = (r_grid[:, None, None] * dirs[None, :, :]).reshape(-1, srule.n)
-    vals = np.abs(np.asarray(f(pts), dtype=float)).reshape(r_grid.size, -1)
-    _check_finite(vals.ravel(), pts)
+    vals = np.abs(srule.values(f, r_grid))
     if np.isinf(p):
         return vals.max(axis=1)
     if p <= 0:
@@ -333,20 +356,46 @@ class HalfSpaceRule:
             w = np.multiply.outer(w, self.y_weights)
         return mesh, w.ravel()
 
-    def flat(self):
-        """The rule as flat ``(Y, s, w)``, height-major: node ``k`` is
-        lateral node ``k % M`` at height ``k // M``."""
-        mesh, w_lat = self.lateral_mesh()
-        m_s = self.s_nodes.size
-        Y = np.tile(mesh, (m_s, 1))
-        s = np.repeat(self.s_nodes, mesh.shape[0])
-        w = np.repeat(self.s_weights, mesh.shape[0]) * np.tile(w_lat, m_s)
-        return Y, s, w
+    def points(self):
+        """The nodes as flat ``(Y, s)``, :func:`halfspace_points`."""
+        return halfspace_points(self.s_nodes, self.lateral_mesh()[0])
+
+    def values(self, g):
+        """``g`` on :meth:`points` as a ``(heights, M)`` matrix."""
+        return _product_values(g, (self.s_nodes.size, -1), *self.points())
+
+    def product_weights(self):
+        """Weights of ``dy ds`` as a ``(heights, M)`` outer product."""
+        _, w_lat = self.lateral_mesh()
+        return self.s_weights[:, None] * w_lat[None, :]
+
+    def integrate(self, g):
+        """``int g dy ds`` over the box, lateral sums first."""
+        _, w_lat = self.lateral_mesh()
+        return float(self.s_weights @ (self.values(g) @ w_lat))
+
+
+def halfspace_points(s, mesh):
+    """The height x lateral product as flat ``(Y, s)``, height-major:
+    node ``k`` is lateral node ``k % M`` at height ``s[k // M]``."""
+    return np.tile(mesh, (s.size, 1)), np.repeat(s, mesh.shape[0])
 
 
 def lateral_grid(y, n):
     """Product grid ``y^n`` as an ``(len(y)^n, n)`` array, axis 0 slowest."""
     return np.stack(np.meshgrid(*([y] * n), indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def dyadic_window(j):
+    """``(R_xy, s_min, s_max)`` of ``|y_i| <= 2^j, 2^-j <= s <= 2^j``."""
+    return 2.0**j, 2.0**-j, 2.0**j
+
+
+def window_rule(n, j, order, lateral_refinement):
+    """A :class:`HalfSpaceRule` on the dyadic window ``j``."""
+    R_xy, s_min, s_max = dyadic_window(j)
+    return halfspace_rule(n, R_xy=R_xy, s_min=s_min, s_max=s_max, order=order,
+                          lateral_refinement=lateral_refinement)
 
 
 def halfspace_rule(n, R_xy=16.0, s_min=2.0**-12, s_max=16.0, order=12,
@@ -376,17 +425,6 @@ def halfspace_rule(n, R_xy=16.0, s_min=2.0**-12, s_max=16.0, order=12,
     )
 
 
-def _tail_outer(rule, samples_max, decay):
-    """Mass bound beyond the lateral faces and above the top face."""
-    n, R = rule.n, rule.R_xy
-    d = decay.power_infinity
-    a_top, a_lat = samples_max
-    top = a_top * (2.0 * R) ** n * rule.s_max / (d - 1.0)
-    lat = a_lat * (rule.s_max - rule.s_min) * sphere_area(n) * R**n / (d - n)
-    # factor 2 absorbs the corner region not covered by either face bound
-    return 2.0 * (top + lat)
-
-
 def integrate_halfspace(g, rule, decay):
     """Truncated integral of ``g(y, s)`` plus a declared-decay tail bound.
 
@@ -395,33 +433,23 @@ def integrate_halfspace(g, rule, decay):
     :class:`HalfSpaceValue`.  Refuses decay declarations whose tails are
     not integrable.
     """
-    if decay.power_infinity <= rule.n + 1:
-        raise DomainError(
-            "declared decay exponent must exceed n + 1 for an integrable tail"
-        )
+    n, R, d = rule.n, rule.R_xy, decay.power_infinity
+    if d <= n + 1:
+        raise DomainError("declared decay exponent must exceed n + 1 for an "
+                          "integrable tail")
     if decay.power_zero <= -1.0:
         raise DomainError("declared bottom exponent must exceed -1")
-    _, w_lat = rule.lateral_mesh()
-    Y, S, _ = rule.flat()
-    vals = np.asarray(g(Y, S), dtype=float)
-    if vals.shape != (Y.shape[0],):
-        raise EvaluationError(
-            f"integrand returned shape {vals.shape}, expected {(Y.shape[0],)}"
-        )
-    _check_finite(vals, np.column_stack([Y, S]))
-    vals = vals.reshape(rule.s_nodes.size, w_lat.size)
-    value = float(rule.s_weights @ (vals @ w_lat))
+    value = rule.integrate(g)
 
-    # boundary samples for the tail estimate
-    a_top = _face_max(g, rule, "top")
-    a_lat = _face_max(g, rule, "lateral")
-    a_bot = _face_max(g, rule, "bottom")
-    outer = _tail_outer(rule, (a_top, a_lat), decay)
-    bottom = (
-        2.0 * a_bot * (2.0 * rule.R_xy) ** rule.n
-        * rule.s_min / (decay.power_zero + 1.0)
-    )
-    return HalfSpaceValue(value, outer + bottom)
+    # mass above the top face, beyond the lateral faces and below the
+    # bottom face, from boundary samples
+    a_top, a_lat, a_bot = _face_maxima(g, rule)
+    top = a_top * (2.0 * R) ** n * rule.s_max / (d - 1.0)
+    lat = a_lat * (rule.s_max - rule.s_min) * sphere_area(n) * R**n / (d - n)
+    bottom = (2.0 * a_bot * (2.0 * R) ** n * rule.s_min
+              / (decay.power_zero + 1.0))
+    # factor 2 absorbs the corner region not covered by either face bound
+    return HalfSpaceValue(value, 2.0 * (top + lat) + bottom)
 
 
 def _face_lines(rule):
@@ -436,24 +464,23 @@ def _face_lines(rule):
     return lines
 
 
-def _face_max(g, rule, face):
-    n = rule.n
-    if face in ("top", "bottom"):
-        mesh, _ = rule.lateral_mesh()
-        s_val = rule.s_max if face == "top" else rule.s_min
-        s = np.full(mesh.shape[0], s_val)
-        return float(np.abs(np.asarray(g(mesh, s), dtype=float)).max())
-    if n == 1:
-        pts = [(np.full((rule.s_nodes.size, 1), sign * rule.R_xy),
-                rule.s_nodes.copy()) for sign in (-1.0, 1.0)]
+def _peak(g, *args):
+    return float(np.abs(np.asarray(g(*args), dtype=float)).max())
+
+
+def _face_maxima(g, rule):
+    """Max ``|g|`` on the top face, the lateral faces and the bottom."""
+    mesh, _ = rule.lateral_mesh()
+    top, bottom = (_peak(g, mesh, np.full(mesh.shape[0], s))
+                   for s in (rule.s_max, rule.s_min))
+    if rule.n == 1:
+        sides = [(np.full((rule.s_nodes.size, 1), sign * rule.R_xy),
+                  rule.s_nodes.copy()) for sign in (-1.0, 1.0)]
     else:
-        pts = [(Y, np.full(Y.shape[0], float(s_val)))
-               for Y in _face_lines(rule)
-               for s_val in (rule.s_min, np.median(rule.s_nodes), rule.s_max)]
-    best = 0.0
-    for Y, s in pts:
-        best = max(best, float(np.abs(np.asarray(g(Y, s), dtype=float)).max()))
-    return best
+        sides = [(Y, np.full(Y.shape[0], float(s)))
+                 for Y in _face_lines(rule)
+                 for s in (rule.s_min, np.median(rule.s_nodes), rule.s_max)]
+    return top, max([0.0] + [_peak(g, *side) for side in sides]), bottom
 
 
 def integrate_lateral(g, rule, s, decay_power):
@@ -466,12 +493,8 @@ def integrate_lateral(g, rule, s, decay_power):
     if decay_power <= rule.n:
         raise DomainError("lateral decay exponent must exceed n")
     mesh, w_lat = rule.lateral_mesh()
-    vals = np.asarray(g(mesh), dtype=float)
-    _check_finite(vals, mesh)
-    value = float(vals @ w_lat)
-    edge = 0.0
-    for Y in _face_lines(rule):
-        edge = max(edge, float(np.abs(np.asarray(g(Y), dtype=float)).max()))
+    value = float(_product_values(g, (-1,), mesh) @ w_lat)
+    edge = max([0.0] + [_peak(g, Y) for Y in _face_lines(rule)])
     n, R, d = rule.n, rule.R_xy, decay_power
     tail = edge * sphere_area(n) * R**n / (d - n)
     return HalfSpaceValue(value, 2.0 * tail)

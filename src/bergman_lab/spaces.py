@@ -44,12 +44,14 @@ from .profiles import classify_truncations
 from .quadrature import (
     HalfSpaceValue,
     TailDecay,
+    ball_points,
     halfspace_rule,
     integrate_halfspace,
     lateral_grid,
     radial_profile,
     radial_rule,
     sphere_rule,
+    window_rule,
 )
 
 __all__ = [
@@ -229,33 +231,29 @@ class ReproducingSum:
     Ball: ``rule`` is a :class:`BallQuad`, the nodes are the products
     ``rho_i d_j`` of its radial and sphere nodes, and the weights are
     those of ``(1 - rho^2)^beta rho^{n-1} drho dsigma'``.  Half-space:
-    ``rule`` is a :class:`~bergman_lab.quadrature.HalfSpaceRule`, taken
-    flat, with the weights of ``s^m dy ds``.  ``f`` is evaluated once:
-    ``values`` holds it on the nodes and ``dist`` each node's boundary
-    distance (``1 - rho`` or ``s``), shaped to broadcast against
-    ``values``.
+    ``rule`` is a :class:`~bergman_lab.quadrature.HalfSpaceRule`, its
+    nodes the products of heights and lateral nodes, with the weights
+    of ``s^m dy ds``.  ``f`` is evaluated once: ``values`` holds it on
+    the (radius or height, direction or lateral node) matrix and
+    ``dist`` each row's boundary distance (``1 - rho`` or ``s``) as a
+    column.
     """
 
     def __init__(self, f, kernel, rule, tol=1e-12):
         self.kernel, self.tol = kernel, tol
         if kernel.domain == "ball":
-            rho, dirs = rule.rrule.nodes, rule.srule.nodes
-            pts = (rho[:, None, None] * dirs[None, :, :]).reshape(-1, f.n)
-            self.values = f(pts).reshape(rho.size, -1)
+            rho = rule.rrule.nodes
+            self.values = rule.srule.values(f, rho)
             self.dist = (1.0 - rho)[:, None]
-            self._nodes = rho, dirs
-            # the outer product of the radial and the sphere factors;
-            # the flat grid would tile every node array to full size
-            self._w = ((rule.rrule.weights * rho ** (f.n - 1))[:, None]
-                       * rule.srule.weights[None, :]
-                       * ((1.0 - rho * rho) ** kernel.beta)[:, None]
-                       * self.values)
+            self._nodes = rho, rule.srule.nodes
+            w = (rule.srule.product_weights(rule.rrule)
+                 * ((1.0 - rho * rho) ** kernel.beta)[:, None])
         else:
-            Y, s, w = rule.flat()
-            self.values = f(Y, s)
-            self.dist = s
-            self._nodes = Y, s
-            self._w = w * s**kernel.m * self.values
+            self.values = rule.values(f)
+            self.dist = rule.s_nodes[:, None]
+            self._nodes = rule.points()
+            w = rule.product_weights() * self.dist**kernel.m
+        self._w = w * self.values
 
     def part(self, keep=None):
         """The sum over the nodes where ``keep`` holds (all of them when
@@ -264,8 +262,9 @@ class ReproducingSum:
         if self.kernel.domain == "ball":
             W = self._w if keep is None else np.where(keep, self._w, 0.0)
             return _ball_sum(self.kernel, *self._nodes, W, self.tol)
-        (Y, s), w = self._nodes, self._w
+        (Y, s), w = self._nodes, self._w.ravel()
         if keep is not None:
+            keep = keep.ravel()
             Y, s, w = Y[keep], s[keep], w[keep]
         return _half_sum(self.kernel, Y, s, w)
 
@@ -417,20 +416,16 @@ def _halfspace_norm(f, p, alpha, quad):
 def halfspace_norm_profile(f, p, alpha, n=None, j_levels=(2, 3, 4, 5, 6, 7, 8)):
     """Profile of the half-space norm on expanding windows.
 
-    Window ``j`` is ``|y_i| <= 2^j``, ``2^-j <= s <= 2^j``; expanding it
-    probes divergence at the boundary and at infinity together.
+    Window ``j`` is ``quadrature.dyadic_window(j)``; expanding it probes
+    divergence at the boundary and at infinity together.
     """
     if n is None:
         n = f.n
-    vals = []
-    for j in j_levels:
-        rule = halfspace_rule(n, R_xy=2.0**j, s_min=2.0**-j, s_max=2.0**j,
-                              order=8, lateral_refinement=max(4, j))
-        _, w_lat = rule.lateral_mesh()
-        Y, S, _ = rule.flat()
-        g = np.abs(f(Y, S)) ** p * S**alpha
-        g = g.reshape(rule.s_nodes.size, w_lat.size)
-        vals.append(float(rule.s_weights @ (g @ w_lat)))
+
+    def g(Y, S):
+        return np.abs(f(Y, S)) ** p * S**alpha
+
+    vals = [window_rule(n, j, 8, max(4, j)).integrate(g) for j in j_levels]
     cuts = np.array(j_levels, dtype=float) * math.log(2.0)
     return classify_truncations(cuts, np.array(vals))
 
@@ -473,9 +468,7 @@ def mixed_norm(f, p, q, alpha, kind, quad=None):
     n = f.n
     r = quad.rrule.nodes
     radial_w = quad.rrule.weights * (n * r ** (n - 1) * (1.0 - r * r) ** alpha)
-    dirs = quad.srule.nodes
-    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    vals = np.abs(np.asarray(f(pts), dtype=float)).reshape(r.size, -1)
+    vals = np.abs(quad.srule.values(f, r))
     if kind == "B":
         mp_p = vals**p @ quad.srule.weights          # shell p-means ^ p
         total = float(radial_w @ mp_p ** (q / p))
@@ -502,12 +495,6 @@ def _mixed_guard(radial_w, shell_vals, f, p, q, alpha, quad):
 # Weighted sup norms
 
 
-def _ball_sup_grid(n, levels=12, degree=23):
-    sr = sphere_rule(n, degree)
-    r = np.concatenate([[0.0, 0.25], 1.0 - 2.0 ** -np.arange(1, levels + 1.0)])
-    return r, sr.nodes
-
-
 def _weight_ball(r, t, convention):
     if convention == "1-r":
         return (1.0 - r) ** t
@@ -531,22 +518,17 @@ def ainf_norm(f, t, convention="1-r", levels=12, degree=23, refine_rounds=3,
     """
     if f.domain != "ball":
         return _ainf_half(f, t, levels, refine_rounds, growth_ratio)
+    r_grid = np.concatenate([[0.0, 0.25],
+                             1.0 - 2.0 ** -np.arange(1, levels + 1.0)])
     if f.axis is not None:
-        return _ainf_ball_axis(f, t, convention, levels, refine_rounds,
+        return _ainf_ball_axis(f, t, convention, r_grid, refine_rounds,
                                growth_ratio)
-    n = f.n
-    r_grid, dirs = _ball_sup_grid(n, levels, degree)
-    shell_max = np.empty(r_grid.size)
-    best = (-math.inf, 0.0, None)
-    for i, r in enumerate(r_grid):
-        vals = np.abs(f(r * dirs)) * _weight_ball(r, t, convention)
-        j = int(np.argmax(vals))
-        shell_max[i] = vals[j]
-        if vals[j] > best[0]:
-            best = (float(vals[j]), float(r), dirs[j].copy())
-    _check_bounded(shell_max[-4:], growth_ratio)
-
-    value, r_best, d_best = best
+    sr = sphere_rule(f.n, degree)
+    # one scalar weight per shell, as the refinement below takes it
+    w = np.array([_weight_ball(r, t, convention) for r in r_grid])
+    value, i, j = _grid_sup(np.abs(sr.values(f, r_grid)) * w[:, None],
+                            growth_ratio)
+    r_best, d_best = float(r_grid[i]), sr.nodes[j].copy()
     frame = tangent_frame(d_best)
     dr = 0.5 * (1.0 - r_best)
     ang = math.pi / (degree + 1)
@@ -569,33 +551,18 @@ def ainf_norm(f, t, convention="1-r", levels=12, degree=23, refine_rounds=3,
     return value, BallPoint(r_best, d_best)
 
 
-def _ainf_ball_axis(f, t, convention, levels, refine_rounds, growth_ratio):
+def _ainf_ball_axis(f, t, convention, r_grid, refine_rounds, growth_ratio):
     axis = f.axis
     perp = tangent_frame(axis)[0]
     u = np.concatenate([np.linspace(-1.0, 0.95, 24),
                         1.0 - np.geomspace(1e-8, 0.05, 16)[::-1], [1.0]])
-    r_grid = np.concatenate([[0.0, 0.25],
-                             1.0 - 2.0 ** -np.arange(1, levels + 1.0)])
 
-    def at(r, uu):
-        sin = math.sqrt(max(0.0, 1.0 - uu * uu))
-        x = r * (uu * axis + sin * perp)
-        w = float(_weight_ball(np.asarray(r, dtype=float), t, convention))
-        return float(np.abs(f(x[None, :]))[0]) * w
-
-    shell_max = np.empty(r_grid.size)
-    best = (-math.inf, 0.0, 1.0)
-    for i, r in enumerate(r_grid):
-        sin = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
-        pts = r * (u[:, None] * axis[None, :] + sin[:, None] * perp[None, :])
-        vals = np.abs(f(pts)) * _weight_ball(np.full(u.size, r), t, convention)
-        j = int(np.argmax(vals))
-        shell_max[i] = vals[j]
-        if vals[j] > best[0]:
-            best = (float(vals[j]), float(r), float(u[j]))
-    _check_bounded(shell_max[-4:], growth_ratio)
-
-    value, r_best, u_best = best
+    sin = np.sqrt(np.clip(1.0 - u * u, 0.0, None))
+    dirs = u[:, None] * axis[None, :] + sin[:, None] * perp[None, :]
+    vals = (np.abs(f(ball_points(r_grid, dirs))).reshape(r_grid.size, -1)
+            * _weight_ball(r_grid, t, convention)[:, None])
+    value, i, j = _grid_sup(vals, growth_ratio)
+    r_best, u_best = float(r_grid[i]), float(u[j])
     dr = 0.5 * (1.0 - r_best)
     du = 0.05
     for _ in range(refine_rounds * 3):
@@ -603,7 +570,11 @@ def _ainf_ball_axis(f, t, convention, levels, refine_rounds, growth_ratio):
             rc = min(max(rc, 0.0), 1.0 - 1e-12)
             for uc in (u_best - du, u_best, u_best + du):
                 uc = min(max(uc, -1.0), 1.0)
-                val = at(rc, uc)
+                sin = math.sqrt(max(0.0, 1.0 - uc * uc))
+                x = rc * (uc * axis + sin * perp)
+                w = float(_weight_ball(np.asarray(rc, dtype=float), t,
+                                       convention))
+                val = float(np.abs(f(x[None, :]))[0]) * w
                 if val > value:
                     value, r_best, u_best = val, rc, uc
         dr *= 0.5
@@ -614,12 +585,18 @@ def _ainf_ball_axis(f, t, convention, levels, refine_rounds, growth_ratio):
     return value, BallPoint(r_best, direction)
 
 
-def _check_bounded(tail_max, growth_ratio):
+def _grid_sup(vals, growth_ratio):
+    """The largest entry of the weighted (shell, node) matrix ``vals``
+    and its first position; refuses when the shell maxima keep growing
+    geometrically at the four finest shells."""
+    tail_max = vals.max(axis=1)[-4:]
     grow = tail_max[1:] / np.maximum(tail_max[:-1], 1e-300)
     if np.all(grow >= growth_ratio):
         raise UnboundedNormError(
             "weighted sup keeps growing at the finest boundary shells "
             f"(ratios {np.round(grow, 3)})")
+    i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    return float(vals[i, j]), i, j
 
 
 def _ainf_half(f, t, levels, refine_rounds, growth_ratio):
@@ -628,16 +605,11 @@ def _ainf_half(f, t, levels, refine_rounds, growth_ratio):
                         np.geomspace(2.0**-6, 8.0, 24)])
     Y = lateral_grid(y, n)
     s_grid = 2.0 ** -np.arange(-3.0, levels + 1.0)
-    shell_max = np.empty(s_grid.size)
-    best = (-math.inf, None, 0.0)
-    for i, s in enumerate(s_grid):
-        vals = np.abs(f(Y, np.full(Y.shape[0], s))) * s**t
-        j = int(np.argmax(vals))
-        shell_max[i] = vals[j]
-        if vals[j] > best[0]:
-            best = (float(vals[j]), Y[j].copy(), float(s))
-    _check_bounded(shell_max[-4:], growth_ratio)
-    value, y_best, s_best = best
+    # one height per call: the lateral grid alone is large at n >= 3
+    vals = np.array([np.abs(f(Y, np.full(Y.shape[0], s))) * s**t
+                     for s in s_grid])
+    value, i, j = _grid_sup(vals, growth_ratio)
+    y_best, s_best = Y[j].copy(), float(s_grid[i])
     step_y, step_s = 0.25, 0.5
     for _ in range(refine_rounds):
         for ds in (1.0 - step_s, 1.0, 1.0 + step_s):

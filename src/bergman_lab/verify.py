@@ -543,9 +543,10 @@ def verify_representation(f, spec, p=2.0, alpha=0.0, weight=None,
             rule0 = halfspace_rule(f.n, R_xy=64.0, s_min=2.0 ** -12,
                                    s_max=2.0 ** 8, order=8,
                                    lateral_refinement=10)
-            Y, s, w = rule0.flat()
-            dens = np.abs(f(Y, s)) ** p * np.asarray(weight.v(s), float)
-            norm = float(w @ dens) ** (1.0 / p)
+            dens = rule0.values(lambda Y, s: np.abs(f(Y, s)) ** p
+                                * np.asarray(weight.v(s), float))
+            w = rule0.product_weights()
+            norm = float(w.ravel() @ dens.ravel()) ** (1.0 / p)
             notes.append(f"membership norm {norm:.6g} "
                          f"(p={p:g}, weight {weight.label})")
         params = {"domain": "halfspace", "n": spec.n, "m": m, "p": p,

@@ -23,7 +23,8 @@ from bergman_lab.errors import DivergenceDetected, DomainError
 from bergman_lab.kernels import (ball_kernel, halfspace_kernel, q_beta_values,
                                  q_m_values)
 from bergman_lab.profiles import classify_truncations
-from bergman_lab.quadrature import ball_grid, halfspace_rule
+from bergman_lab.quadrature import (halfspace_rule, radial_rule,
+                                    sphere_rule)
 from bergman_lab.spaces import ainf_norm, default_ball_quad, gallery_fn
 
 INTERIOR = np.array([
@@ -79,6 +80,30 @@ def test_s2_inner_matches_monte_carlo():
     assert abs(quad - mc) < max(0.02 * quad, 3.0 * err)
 
 
+def test_s2_inner_matches_pointwise_sum():
+    # the product-grid path against one q_beta_values call over the
+    # masked nodes of the flat radius-major product built here
+    f = gallery_fn("poisson_e1", "ball", 3)
+    kernel = ball_kernel(3, 2.0)
+    spec = LevelSetSpec(1.0, 2.0)
+    x = np.array([0.3, -0.2, 0.4])
+    sr, rr = sphere_rule(3, 21), radial_rule(8, 12)
+    nd = sr.nodes.shape[0]
+    rho = np.repeat(rr.nodes, nd)
+    dirs = np.tile(sr.nodes, (rr.nodes.size, 1))
+    w = (np.repeat(rr.weights * rr.nodes**2, nd)
+         * np.tile(sr.weights, rr.nodes.size))
+    mask = np.abs(f(rho[:, None] * dirs)) * (1.0 - rho) ** spec.lam >= spec.eps
+    r = np.linalg.norm(x)
+    vals, _ = q_beta_values(kernel, r * rho[mask], dirs[mask] @ (x / r),
+                            tol=1e-10)
+    want = float(np.sum(np.abs(vals) * w[mask]
+                        * (1.0 - rho[mask]) ** (kernel.beta - spec.lam)))
+    got = s2_inner(f, spec, kernel, x)
+    assert 0 < mask.sum() < mask.size
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_s2_inner_empty_level_set_is_zero():
     # the weighted sup of the Poisson kernel at lam = 2 is 2, so the
     # level set at eps = 3 is empty
@@ -129,8 +154,14 @@ def test_decompose_extreme_levels():
 
 def _parts_reference(f, spec, kernel, quad, X, tol=1e-11):
     """f1 and f2 at ``X`` as per-node kernel sums over the masked nodes,
-    one ``q_beta_values`` call per evaluation radius."""
-    rho, dirs, w = ball_grid(quad.srule, quad.rrule)
+    one ``q_beta_values`` call per evaluation radius, on the flat
+    radius-major product built here."""
+    rr, sr = quad.rrule, quad.srule
+    nd = sr.nodes.shape[0]
+    rho = np.repeat(rr.nodes, nd)
+    dirs = np.tile(sr.nodes, (rr.nodes.size, 1))
+    w = (np.repeat(rr.weights * rr.nodes ** (f.n - 1), nd)
+         * np.tile(sr.weights, rr.nodes.size))
     fv = f(rho[:, None] * dirs)
     w_signed = w * (1.0 - rho * rho) ** kernel.beta * fv
     mask = np.abs(fv) * (1.0 - rho) ** spec.lam >= spec.eps
@@ -351,10 +382,15 @@ def test_half_engine_bits_ignore_query_order(m):
 
 def _half_inner_reference(f, eps, m, rows=512):
     """Inner integral at every grid node as a per-level masked sum over
-    all (row, masked column) pairs, built from the rule itself."""
+    all (row, masked column) pairs, on the flat height-major product of
+    the rule's one-dimensional nodes built here."""
     rule = halfspace_rule(1, R_xy=2.0**8, s_min=2.0**-8, s_max=2.0**8,
                           order=6, lateral_refinement=10)
-    Y, s, w = rule.flat()
+    m_lat = rule.y_nodes.size
+    Y = np.tile(rule.y_nodes, rule.s_nodes.size)[:, None]
+    s = np.repeat(rule.s_nodes, m_lat)
+    w = (np.repeat(rule.s_weights, m_lat)
+         * np.tile(rule.y_weights, rule.s_nodes.size))
     mask = np.abs(f(Y, s)) * s**1.5 >= eps
     yc, sc = Y[mask, 0], s[mask]
     wc = (w * s ** (m - 1.5))[mask]

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bergman_lab.errors import DomainError
+from bergman_lab.errors import DomainError, EvaluationError
 from bergman_lab.geometry import tangent_frame
 from bergman_lab.quadrature import (
-    ball_grid,
     composite_gauss,
     geometric_edges,
     halfspace_rule,
@@ -193,29 +192,59 @@ def test_tangent_frame_matches_projected_axes(n):
         assert all(_same(v, w) for v, w in zip(frame, expected))
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_ball_grid_is_radius_major(n):
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_sphere_rule_product_is_radius_major(n):
     # n = 1 has no sphere rule
     sr, rr = sphere_rule(n, 7), radial_rule(3, 4)
-    rho, dirs, w = ball_grid(sr, rr)
     nd = sr.nodes.shape[0]
-    assert _same(rho, np.repeat(rr.nodes, nd))
-    assert _same(dirs, np.tile(sr.nodes, (rr.nodes.size, 1)))
-    assert _same(w, np.repeat(rr.weights * rr.nodes ** (n - 1), nd)
+    rho = np.repeat(rr.nodes, nd)
+    dirs = np.tile(sr.nodes, (rr.nodes.size, 1))
+    calls = []
+
+    def f(X):
+        calls.append(X)
+        return X[:, 0] * np.exp(X[:, -1])
+
+    vals = sr.values(f, rr.nodes)
+    assert len(calls) == 1 and _same(calls[0], rho[:, None] * dirs)
+    assert _same(vals, f(rho[:, None] * dirs).reshape(rr.nodes.size, nd))
+    assert _same(sr.product_weights(rr).ravel(),
+                 np.repeat(rr.weights * rr.nodes ** (n - 1), nd)
                  * np.tile(sr.weights, rr.nodes.size))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_halfspace_flat_is_height_major(n):
+def test_halfspace_product_is_height_major(n):
     rule = halfspace_rule(n, R_xy=4.0, s_min=0.25, s_max=4.0, order=2,
                           lateral_refinement=1)
-    Y, s, w = rule.flat()
     mesh, w_lat = rule.lateral_mesh()
-    m_lat = mesh.shape[0]
-    assert _same(Y, np.tile(mesh, (rule.s_nodes.size, 1)))
-    assert _same(s, np.repeat(rule.s_nodes, m_lat))
-    assert _same(w, np.repeat(rule.s_weights, m_lat)
-                 * np.tile(w_lat, rule.s_nodes.size))
+    m_lat, m_s = mesh.shape[0], rule.s_nodes.size
+    Y = np.tile(mesh, (m_s, 1))
+    s = np.repeat(rule.s_nodes, m_lat)
+    got_Y, got_s = rule.points()
+    assert _same(got_Y, Y) and _same(got_s, s)
+
+    def g(Y, s):
+        return Y[:, 0] * np.exp(-s)
+
+    vals = g(Y, s).reshape(m_s, m_lat)
+    assert _same(rule.values(g), vals)
+    w = np.repeat(rule.s_weights, m_lat) * np.tile(w_lat, m_s)
+    assert _same(rule.product_weights().ravel(), w)
+    assert rule.integrate(g) == float(rule.s_weights @ (vals @ w_lat))
+
+
+def test_product_values_name_the_non_finite_node():
+    sr, r = sphere_rule(3, 3), np.array([0.25, 0.5])
+    with pytest.raises(EvaluationError, match="node index 9"):
+        sr.values(lambda X: np.where(np.arange(X.shape[0]) == 9, np.nan, 1.0),
+                  r)
+    rule = halfspace_rule(1, R_xy=4.0, s_min=0.25, s_max=4.0, order=2,
+                          lateral_refinement=1)
+    with pytest.raises(EvaluationError, match="node index 3"):
+        rule.values(lambda Y, s: np.where(np.arange(s.size) == 3, np.inf, s))
+    with pytest.raises(EvaluationError, match="shape"):
+        rule.integrate(lambda Y, s: s[:-1])
 
 
 def test_level_sums_match_running_sum():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from bergman_lab.errors import (DivergenceDetected, DomainError,
-                                UnboundedNormError)
+                                EvaluationError, UnboundedNormError)
+from bergman_lab.quadrature import halfspace_rule
 from bergman_lab.spaces import (HarmonicFn, ainf_norm, ball_norm_profile,
                                 bergman_norm, embedding_check, gallery,
                                 gallery_fn, halfspace_norm_profile,
@@ -130,6 +131,21 @@ def test_halfspace_profile_classification(name, p, alpha, expected):
     # s^alpha needs p > alpha + 2, so p = 2, alpha = 1 diverges.
     f = gallery_fn(name, "halfspace", 1)
     assert halfspace_norm_profile(f, p, alpha).classification == expected
+
+
+def test_halfspace_profile_refuses_a_non_finite_node():
+    # nan at one node of the first window (j = 2: |y| <= 4,
+    # 1/4 <= s <= 4, order 8, lateral refinement 4) and nowhere else
+    y0 = halfspace_rule(1, R_xy=4.0, s_min=0.25, s_max=4.0, order=8,
+                        lateral_refinement=4).y_nodes[5]
+    qm = gallery_fn("qm_w0", "halfspace", 1)
+
+    def fn(Y, s):
+        return np.where(Y[:, 0] == y0, np.nan, qm(Y, s))
+
+    f = HarmonicFn("qm_nan", "halfspace", 1, fn, decay_power=3.0)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        halfspace_norm_profile(f, 2.0, 1.0)
 
 
 def test_halfspace_divergence_raises():
