@@ -397,8 +397,7 @@ class _HalfGridEngine(_S2Engine):
         heights = self.s_nodes[:, None]
         self.wsize = (np.abs(rule.values(f)) * heights**lam).ravel()
         cols = np.argsort(-self.wsize, kind="stable")
-        Y, s = rule.points()
-        self._Y, self._s = Y[cols], s[cols]
+        self._Y, self._s = (v[cols] for v in rule.points())
         w = rule.product_weights() * heights ** (kernel.m - lam)
         self._w = w.ravel()[cols]
         # _sums[b]: the sum of the first b full blocks, (height, lateral)

@@ -264,8 +264,7 @@ class ReproducingSum:
             return _ball_sum(self.kernel, *self._nodes, W, self.tol)
         (Y, s), w = self._nodes, self._w.ravel()
         if keep is not None:
-            keep = keep.ravel()
-            Y, s, w = Y[keep], s[keep], w[keep]
+            Y, s, w = (v[keep.ravel()] for v in (Y, s, w))
         return _half_sum(self.kernel, Y, s, w)
 
 
@@ -273,10 +272,10 @@ def _ball_sum(kernel, rho, dirs, W, tol):
     """``X -> sum_{i,j} Q_beta(x, rho_i d_j) W[i, j]``.
 
     A point at radius ``r`` meets the rows ``r * rho_i`` and the cosines
-    ``<x', d_j>``, so points of one radius share one ``q_beta_grid``
-    call; rows whose weights are all zero are dropped.  The sums are
-    ``np.einsum`` contractions, whose bits do not depend on the BLAS
-    thread count.
+    ``<x', d_j>``, so points of one shell (radii a few ulps apart) share
+    one ``q_beta_grid`` call at the shell's middle radius; rows whose
+    weights are all zero are dropped.  The sums are ``np.einsum``
+    contractions, whose bits do not depend on the BLAS thread count.
     """
     live = np.any(W != 0.0, axis=1)
     rho, W = rho[live], W[live]
@@ -291,9 +290,11 @@ def _ball_sum(kernel, rho, dirs, W, tol):
         out = np.zeros(X.shape[0])
         if rho.size == 0:
             return out
-        radii, group = np.unique(r, return_inverse=True)
-        for g, rg in enumerate(radii):
-            pts = np.flatnonzero(group == g)
+        rs = np.sort(r)
+        cut = np.flatnonzero(np.diff(rs, prepend=-1.0) > 4.0 * np.spacing(rs))
+        for a, b in zip(cut, [*cut[1:], rs.size]):
+            pts = np.flatnonzero((r >= rs[a]) & (r <= rs[b - 1]))
+            rg = rs[(a + b - 1) // 2]
             for k0 in range(0, pts.size, per):
                 idx = pts[k0:k0 + per]
                 t = np.einsum("pk,jk->pj", xd[idx], dirs)
