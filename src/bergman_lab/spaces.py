@@ -525,7 +525,8 @@ def ainf_norm(f, t, convention="1-r", levels=12, degree=23, refine_rounds=3,
         return _ainf_ball_axis(f, t, convention, r_grid, refine_rounds,
                                growth_ratio)
     sr = sphere_rule(f.n, degree)
-    # one scalar weight per shell, as the refinement below takes it
+    # scalar powers, as the refinement takes them: NumPy's array power
+    # (SIMD) can round differently
     w = np.array([_weight_ball(r, t, convention) for r in r_grid])
     value, i, j = _grid_sup(np.abs(sr.values(f, r_grid)) * w[:, None],
                             growth_ratio)
